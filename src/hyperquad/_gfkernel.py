@@ -2,14 +2,27 @@
 
 Coefficient blocks are int64 arrays of shape (n, s): row i holds the s
 coordinates of the coefficient of T^i (low degree first).  Entries are kept
-in [0, p).  The coordinate reduction u^j -> basis uses the table carried by
-the FieldDesc, so everything here works uniformly for s = 1 and s > 1.
+in [0, p).  The coordinate reduction u^j -> basis uses the matrices carried
+by the FieldDesc, so everything here works uniformly for s = 1 and s > 1.
 
-Multiplication switches from np.convolve to an FFT path for long operands.
-The FFT result is validated (distance from integers) and falls back to exact
-chunked convolution if the rounding margin is not comfortable; products here
-are small enough (entries < p, p <= 13ish at desk scale) that the fallback
-is not expected to trigger.
+Multiplication is one convolution for every s.  Each (n, s) block is laid
+out with a row stride of w = 2s - 1 (Kronecker substitution in u): slot
+i*w + j holds the coefficient of T^i u^j.  A product of two basis powers
+reaches at most u^(2s-2), so no slot spills into the next row, and one
+convolution of the packed vectors yields every (T, u) coefficient of the
+product.  The (n, w) result is reduced by the (w, s) matrix of u^j in the
+basis, then mod p.
+
+The path is chosen by operand work, counted in products of the packed
+convolution (la*w)*(lb*w): np.convolve while that is at most _DIRECT_WORK,
+or at most _DIRECT_PER_SLOT per output slot; otherwise one real FFT per
+operand, the w columns formed on the transforms and a single inverse FFT.
+FFT products stay exact: the true coefficients are integers of size at
+most s*min(la, lb)*(p-1)^2, and at the sizes used here the float64 error of
+the transforms is orders of magnitude below 1/2, so rounding recovers them.
+The margin check guards that premise: if any entry of the inverse transform
+lies 0.25 or more from the nearest integer, the product is recomputed by
+exact chunked integer convolution.
 """
 
 from __future__ import annotations
@@ -18,7 +31,12 @@ import zlib
 
 import numpy as np
 
-_FFT_CUTOFF = 4096
+# np.convolve while the packed product makes at most _DIRECT_WORK products,
+# or at most _DIRECT_PER_SLOT per output slot (thin operands); FFT otherwise
+_DIRECT_WORK = 1 << 16
+_DIRECT_PER_SLOT = 64
+# piece length of the exact fallback convolution
+_CHUNK = 4096
 
 
 def zeros(field, n: int) -> np.ndarray:
@@ -67,54 +85,72 @@ def neg(a: np.ndarray, field) -> np.ndarray:
     return (-a) % field.p
 
 
-def _conv1d(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
-    if x.shape[0] == 0 or y.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64)
-    n = x.shape[0] + y.shape[0] - 1
-    if min(x.shape[0], y.shape[0]) <= 64 or n <= _FFT_CUTOFF:
-        return np.convolve(x, y) % p
-    m = 1
-    while m < n:
-        m <<= 1
-    fx = np.fft.rfft(x.astype(np.float64), m)
-    fy = np.fft.rfft(y.astype(np.float64), m)
-    c = np.fft.irfft(fx * fy, m)[:n]
-    rounded = np.rint(c)
-    if np.max(np.abs(c - rounded)) >= 0.25:
-        return _conv_chunked(x, y, p)
-    return rounded.astype(np.int64) % p
+def _pack(block: np.ndarray, w: int) -> np.ndarray:
+    """Flatten an (n, s) block with row stride w >= s (zero-filled slots)."""
+    n, s = block.shape
+    if s == w:
+        return block.ravel()
+    out = np.zeros((n, w), dtype=np.int64)
+    out[:, :s] = block
+    return out.ravel()
 
 
 def _conv_chunked(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """Exact convolution of 1-D integer vectors mod p, in bounded pieces."""
     if x.shape[0] < y.shape[0]:
         x, y = y, x
     n = x.shape[0] + y.shape[0] - 1
     out = np.zeros(n, dtype=np.int64)
-    step = _FFT_CUTOFF
-    for start in range(0, x.shape[0], step):
-        piece = np.convolve(x[start : start + step], y)
+    for start in range(0, x.shape[0], _CHUNK):
+        piece = np.convolve(x[start : start + _CHUNK], y)
         out[start : start + piece.shape[0]] += piece
         out[start : start + piece.shape[0]] %= p
     return out % p
 
 
+def _fft_raw(a: np.ndarray, b: np.ndarray, w: int, p: int) -> np.ndarray:
+    """The (n, w) table of T^i u^j coefficients of a*b, by one real FFT each.
+
+    Column j of the table is the sum over i of conv(a[:, i], b[:, j - i]);
+    those sums are formed on the transforms, so one inverse transform
+    returns all w columns.  Rounding is checked against a 0.25 margin and
+    the product is recomputed exactly when the margin is not met.
+    """
+    s = a.shape[1]
+    n = a.shape[0] + b.shape[0] - 1
+    m = 1 << (n - 1).bit_length()
+    fa = np.fft.rfft(a.astype(np.float64), m, axis=0)
+    fb = np.fft.rfft(b.astype(np.float64), m, axis=0)
+    spec = np.zeros((fa.shape[0], w), dtype=np.complex128)
+    for i in range(s):
+        spec[:, i : i + s] += fa[:, i : i + 1] * fb
+    del fa, fb
+    c = np.fft.irfft(spec, m, axis=0)[:n]
+    del spec
+    rounded = np.rint(c)
+    c -= rounded
+    if np.abs(c).max() >= 0.25:
+        return _conv_chunked(_pack(a, w), _pack(b, w), p)[: n * w].reshape(n, w)
+    return rounded.astype(np.int64)
+
+
 def mul(a: np.ndarray, b: np.ndarray, field) -> np.ndarray:
     p, s = field.p, field.s
-    if a.shape[0] == 0 or b.shape[0] == 0:
+    la, lb = a.shape[0], b.shape[0]
+    if la == 0 or lb == 0:
         return np.zeros((0, s), dtype=np.int64)
-    n = a.shape[0] + b.shape[0] - 1
+    n = la + lb - 1
+    w = 2 * s - 1
+    work = la * lb * w * w  # products np.convolve makes on the packed rows
+    if work <= _DIRECT_WORK or work <= _DIRECT_PER_SLOT * (la + lb) * w:
+        raw = np.convolve(_pack(a, w), _pack(b, w))[: n * w].reshape(n, w)
+    else:
+        raw = _fft_raw(a, b, w, p)
     if s == 1:
-        return trim(_conv1d(a[:, 0], b[:, 0], p).reshape(-1, 1))
-    raw = np.zeros((n, 2 * s - 1), dtype=np.int64)
-    for i in range(s):
-        col = a[:, i]
-        if not col.any():
-            continue
-        for j in range(s):
-            if b[:, j].any():
-                raw[:, i + j] = (raw[:, i + j] + _conv1d(col, b[:, j], p)) % p
-    red = np.array(field._upow_reduction, dtype=np.int64)  # (2s-1, s)
-    return trim(raw @ red % p)
+        return trim(raw % p)
+    if s * w * (p - 1) ** 3 * min(la, lb) >= 1 << 63:
+        raw %= p  # keep the reduction product inside int64
+    return trim(raw @ field._upow_matrix % p)
 
 
 def scalar_mul(a: np.ndarray, c_row, field) -> np.ndarray:
@@ -129,19 +165,10 @@ def scalar_mul(a: np.ndarray, c_row, field) -> np.ndarray:
 
 def mult_matrix(field, c_row) -> np.ndarray:
     """Matrix M over F_p with M @ coords(x) = coords(c * x)."""
-    s, p = field.s, field.p
-    red = field._upow_reduction
-    m = np.zeros((s, s), dtype=np.int64)
-    for j in range(s):
-        # column j: c * u^j written in the basis
-        col = [0] * s
-        for i, ci in enumerate(c_row):
-            if ci:
-                row = red[i + j]
-                for t in range(s):
-                    col[t] = (col[t] + ci * row[t]) % p
-        m[:, j] = col
-    return m
+    s = field.s
+    # row j of c @ table is c * u^j written in the basis: column j of M
+    c = np.asarray(c_row, dtype=np.int64)
+    return (c @ field._mul_table.reshape(s, s * s)).reshape(s, s).T % field.p
 
 
 def row_inverse(field, c_row):

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from .exactq import is_prime
 
 
@@ -194,6 +196,14 @@ class FieldDesc:
         # u^j written in the basis, for j up to 2s-2 (enough to reduce any
         # product of two basis vectors)
         self._upow_reduction = self._build_reduction()
+        # the same rows as an int64 (2s-1, s) matrix, and the (s, s, s) table
+        # whose [i, j] row is u^(i+j) in the basis; the dense kernel reduces
+        # products and builds multiplication matrices from them
+        self._upow_matrix = np.array(self._upow_reduction, dtype=np.int64)
+        idx = np.add.outer(np.arange(s), np.arange(s))
+        self._mul_table = self._upow_matrix[idx]
+        # t -> matrix of c -> c^(p^t), filled on first use
+        self._frob_matrices: dict[int, np.ndarray] = {}
         self.zero = FieldElement(self, (0,) * s)
         self.one = FieldElement(self, (1,) + (0,) * (s - 1))
         self._log_table = None
@@ -224,6 +234,20 @@ class FieldDesc:
             table[x.coeffs] = k
             x = x * u
         return table
+
+    def frobenius_matrix(self, t: int) -> np.ndarray:
+        """F_p-linear matrix of c -> c^(p^t) in the u-power basis."""
+        t %= self.s
+        m = self._frob_matrices.get(t)
+        if m is None:
+            cols = []
+            for i in range(self.s):
+                basis = FieldElement(self, tuple(1 if j == i else 0 for j in range(self.s)))
+                img = basis if t == 0 else frobenius(basis, t)
+                cols.append(img.coeffs)
+            m = np.array(cols, dtype=np.int64).T
+            self._frob_matrices[t] = m
+        return m
 
     @property
     def u(self) -> "FieldElement":

@@ -28,27 +28,6 @@ class PrecisionError(ArithmeticError):
     """A result would need coefficients below the known precision floor."""
 
 
-_frob_matrix_cache: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _frobenius_matrix(field: FieldDesc, t: int) -> np.ndarray:
-    """F_p-linear matrix of c -> c^(p^t) in the u-power basis."""
-    key = (id(field), t % field.s)
-    m = _frob_matrix_cache.get(key)
-    if m is None:
-        from .ffield import frobenius
-
-        s = field.s
-        cols = []
-        for i in range(s):
-            basis = FieldElement(field, tuple(1 if j == i else 0 for j in range(s)))
-            img = basis if t % s == 0 else frobenius(basis, t % s)
-            cols.append(img.coeffs)
-        m = np.array(cols, dtype=np.int64).T
-        _frob_matrix_cache[key] = m
-    return m
-
-
 class LaurentSeries:
     """Immutable truncated Laurent series; see module docstring for states."""
 
@@ -284,7 +263,7 @@ class LaurentSeries:
         if self.top is None:
             floor = None if self.floor is None else self.floor * r
             return LaurentSeries(self.field, None, _empty(self.field), floor)
-        mat = _frobenius_matrix(self.field, t)
+        mat = self.field.frobenius_matrix(t)
         mapped = self.block @ mat.T % self.field.p
         m = self.block.shape[0]
         out = np.zeros(((m - 1) * r + 1, self.field.s), dtype=np.int64)

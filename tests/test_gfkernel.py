@@ -1,0 +1,213 @@
+"""The dense kernel's products against plain loops over F_{p^s}.
+
+`_gfkernel.mul` packs each block with a row stride of 2s-1 and takes one
+convolution, directly or by FFT.  The references here are loops: a
+pure-Python schoolbook product, and for the largest shapes the former
+kernel's column-by-column convolution, itself checked against the
+schoolbook on smaller shapes.
+"""
+
+import numpy as np
+import pytest
+
+from hyperquad import _gfkernel as k
+from hyperquad.ffield import FieldElement, frobenius, make_field
+
+PRIMES = (3, 7, 13)
+DEGREES = (1, 2, 3)
+
+
+def schoolbook(a, b, field):
+    """Product of two blocks by the double loop over rows, in Python ints."""
+    p, s = field.p, field.s
+    a, b = a.tolist(), b.tolist()
+    n = len(a) + len(b) - 1
+    raw = [[0] * (2 * s - 1) for _ in range(max(n, 0))]
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            row = raw[i + j]
+            for ki, xk in enumerate(x):
+                if xk:
+                    for li, yl in enumerate(y):
+                        row[ki + li] += xk * yl
+    out = []
+    for row in raw:
+        coords = [0] * s
+        for j, c in enumerate(row):
+            for t, r in enumerate(field._upow_reduction[j]):
+                coords[t] += c * r
+        out.append([c % p for c in coords])
+    return k.trim(np.array(out, dtype=np.int64).reshape(-1, s))
+
+
+def column_loop(a, b, field):
+    """The former kernel: one np.convolve per pair of coordinate columns."""
+    p, s = field.p, field.s
+    n = a.shape[0] + b.shape[0] - 1
+    raw = np.zeros((n, 2 * s - 1), dtype=np.int64)
+    for i in range(s):
+        for j in range(s):
+            raw[:, i + j] = (raw[:, i + j] + np.convolve(a[:, i], b[:, j])) % p
+    red = np.array(field._upow_reduction, dtype=np.int64)
+    return k.trim(raw @ red % p)
+
+
+def mult_matrix_loop(field, c_row):
+    """The former triple loop building the matrix of x -> c * x."""
+    s, p = field.s, field.p
+    red = field._upow_reduction
+    m = np.zeros((s, s), dtype=np.int64)
+    for j in range(s):
+        col = [0] * s
+        for i, ci in enumerate(c_row):
+            if ci:
+                row = red[i + j]
+                for t in range(s):
+                    col[t] = (col[t] + ci * row[t]) % p
+        m[:, j] = col
+    return m
+
+
+def blocks(field, la, lb, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, field.p, size=(la, field.s), dtype=np.int64)
+    b = rng.integers(0, field.p, size=(lb, field.s), dtype=np.int64)
+    # nonzero leading rows, so the product has its full length
+    a[-1, 0] = b[-1, 0] = 1
+    return a, b
+
+
+@pytest.fixture
+def fft_spy(monkeypatch):
+    calls = []
+    real = k._fft_raw
+
+    def spy(*args):
+        calls.append(args[0].shape[0])
+        return real(*args)
+
+    monkeypatch.setattr(k, "_fft_raw", spy)
+    return calls
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("s", DEGREES)
+@pytest.mark.parametrize(
+    "la, lb, fft", [(3, 5, False), (5, 3, False), (3, 20000, False), (300, 300, True)]
+)
+def test_mul_matches_schoolbook(p, s, la, lb, fft, fft_spy):
+    field = make_field(p, s)
+    a, b = blocks(field, la, lb, seed=p * 10 + s)
+    got = k.mul(a, b, field)
+    assert bool(fft_spy) == fft
+    assert got.dtype == np.int64
+    assert np.array_equal(got, schoolbook(a, b, field))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("s", DEGREES)
+def test_mul_large_fft_matches_column_loop(p, s, fft_spy):
+    field = make_field(p, s)
+    a, b = blocks(field, 2000, 2000, seed=p * 10 + s)
+    got = k.mul(a, b, field)
+    assert fft_spy == [2000]
+    assert np.array_equal(got, column_loop(a, b, field))
+    assert got.shape == (3999, s)
+
+
+@pytest.mark.parametrize("s", DEGREES)
+def test_column_loop_matches_schoolbook(s):
+    field = make_field(7, s)
+    a, b = blocks(field, 40, 70, seed=s)
+    assert np.array_equal(column_loop(a, b, field), schoolbook(a, b, field))
+
+
+@pytest.mark.parametrize("s", DEGREES)
+def test_mul_empty_operands(s):
+    field = make_field(5, s)
+    a, _ = blocks(field, 4, 1, seed=0)
+    empty = k.zeros(field, 0)
+    for x, y in [(empty, a), (a, empty), (empty, empty)]:
+        out = k.mul(x, y, field)
+        assert out.shape == (0, s) and out.dtype == np.int64
+
+
+@pytest.mark.parametrize("s", DEGREES)
+@pytest.mark.parametrize("la, lb", [(3, 5), (400, 400)])
+def test_mul_untrimmed_operands(s, la, lb):
+    field = make_field(7, s)
+    a, b = blocks(field, la, lb, seed=s)
+    pad_a = np.vstack([a, k.zeros(field, 3)])
+    pad_b = np.vstack([b, k.zeros(field, 7)])
+    want = k.mul(a, b, field)
+    assert np.array_equal(k.mul(pad_a, pad_b, field), want)
+    assert np.array_equal(want, schoolbook(a, b, field))
+    zero_rows = k.zeros(field, 5)
+    assert k.mul(zero_rows, pad_b, field).shape == (0, s)
+
+
+def test_mul_single_rows_reduce_through_modulus():
+    # (u + 1)(u - 1) = u^2 - 1 in F_9 with modulus u^2 + 1 is -2: one row
+    field = make_field(3, 2, (1, 0, 1))
+    a = np.array([[1, 1]], dtype=np.int64)
+    b = np.array([[2, 1]], dtype=np.int64)
+    assert k.mul(a, b, field).tolist() == [[1, 0]]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("lx, ly", [(10000, 300), (300, 10000), (5000, 5000), (1, 1)])
+def test_conv_chunked_matches_convolve(p, lx, ly):
+    rng = np.random.default_rng(lx + ly + p)
+    x = rng.integers(0, p, size=lx, dtype=np.int64)
+    y = rng.integers(0, p, size=ly, dtype=np.int64)
+    assert np.array_equal(k._conv_chunked(x, y, p), np.convolve(x, y) % p)
+
+
+@pytest.mark.parametrize("s", DEGREES)
+def test_fft_outside_margin_falls_back_to_exact(s, monkeypatch):
+    field = make_field(13, s)
+    a, b = blocks(field, 500, 700, seed=s)
+    want = column_loop(a, b, field)
+    real_irfft = np.fft.irfft
+    chunked = []
+    real_chunked = k._conv_chunked
+
+    def perturbed(*args, **kwargs):
+        out = real_irfft(*args, **kwargs)
+        out[len(out) // 3, 0] += 0.4
+        return out
+
+    def spy(*args):
+        chunked.append(args[0].shape[0])
+        return real_chunked(*args)
+
+    monkeypatch.setattr(np.fft, "irfft", perturbed)
+    monkeypatch.setattr(k, "_conv_chunked", spy)
+    assert np.array_equal(k.mul(a, b, field), want)
+    assert chunked, "the perturbed FFT result was accepted"
+
+
+@pytest.mark.parametrize("p, s", [(3, 2), (3, 3), (7, 3), (13, 3), (5, 4)])
+def test_mult_matrix_matches_loop(p, s):
+    field = make_field(p, s)
+    rng = np.random.default_rng(p * s)
+    rows = [tuple(int(v) for v in rng.integers(0, p, size=s)) for _ in range(40)]
+    rows.append((0,) * s)
+    for row in rows:
+        got = k.mult_matrix(field, row)
+        assert np.array_equal(got, mult_matrix_loop(field, row))
+        assert np.array_equal(k.mult_matrix(field, np.array(row)), got)
+
+
+@pytest.mark.parametrize("p, s", [(3, 2), (3, 3), (5, 2), (7, 3)])
+def test_frobenius_matrix_is_cached_per_field(p, s):
+    field = make_field(p, s)
+    rng = np.random.default_rng(p + s)
+    for t in range(2 * s):
+        m = field.frobenius_matrix(t)
+        assert field.frobenius_matrix(t) is m
+        for _ in range(5):
+            c = tuple(int(v) for v in rng.integers(0, p, size=s))
+            x = FieldElement(field, c)
+            img = x if t % s == 0 else frobenius(x, t)
+            assert (m @ np.array(c) % p).tolist() == list(img.coeffs)
