@@ -220,9 +220,7 @@ def gcd_block(a: np.ndarray, b: np.ndarray, field) -> np.ndarray:
     a, b = trim(a), trim(b)
     while b.shape[0] > 0:
         a, b = b, rem_block(a, b, field)
-    if a.shape[0] == 0:
-        return a
-    return scalar_mul(a, row_inverse(field, a[-1]), field)
+    return monic(a, field)
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +243,9 @@ def powmod(a: np.ndarray, e: int, f: np.ndarray, field) -> np.ndarray:
     while e:
         if e & 1:
             result = mulmod(result, a, f, field)
-        a = mulmod(a, a, f, field)
         e >>= 1
+        if e:
+            a = mulmod(a, a, f, field)
     return result
 
 
@@ -319,8 +318,7 @@ def distinct_degree(f: np.ndarray, field) -> list[tuple[np.ndarray, int]]:
     f = monic(f, field)
     while f.shape[0] - 1 >= 2 * (j + 1):
         j += 1
-        h = rem_block(h, f, field)
-        h = _frob_step(h, f, field)
+        h = powmod(h, p, f, field)
         g = gcd_block(sub(h, x, field), f, field)
         if g.shape[0] > 1:
             out.append((g, j))
@@ -328,22 +326,6 @@ def distinct_degree(f: np.ndarray, field) -> list[tuple[np.ndarray, int]]:
     if f.shape[0] > 1:
         out.append((f, f.shape[0] - 1))
     return out
-
-
-def _frob_step(h: np.ndarray, f: np.ndarray, field) -> np.ndarray:
-    """h -> h^p mod f by square and multiply on the exponent p."""
-    p = field.p
-    result = zeros(field, 1)
-    result[0, 0] = 1
-    base = h
-    e = p
-    while e:
-        if e & 1:
-            result = mulmod(result, base, f, field)
-        e >>= 1
-        if e:
-            base = mulmod(base, base, f, field)
-    return result
 
 
 def equal_degree(f: np.ndarray, d: int, field, rng: np.random.Generator) -> list[np.ndarray]:

@@ -34,6 +34,21 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def prime_divisors(n: int) -> list[int]:
+    """The distinct prime divisors of a positive integer, ascending."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def _check_prime(p: int) -> None:
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")

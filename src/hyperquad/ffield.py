@@ -15,7 +15,7 @@ import itertools
 
 import numpy as np
 
-from .exactq import is_prime
+from .exactq import is_prime, prime_divisors
 
 
 class FieldConstructionError(ValueError):
@@ -98,27 +98,13 @@ def _is_irreducible(f: list[int], p: int) -> bool:
     xq = _powmod_x(p**s, f, p)
     if _trim(list(xq)) != [0, 1]:
         return False
-    for ell in _prime_divisors(s):
+    for ell in prime_divisors(s):
         g = _powmod_x(p ** (s // ell), f, p)
         g = g + [0] * (2 - len(g))
         g[1] = (g[1] - 1) % p
         if len(_polygcd(_trim(g), f, p)) > 1:
             return False
     return True
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +356,27 @@ class FieldElement:
 
     def __str__(self):
         return format_element(self)
+
+
+# ---------------------------------------------------------------------------
+# the prime field inside F_{p^s}
+# ---------------------------------------------------------------------------
+
+
+def check_embedding(source: FieldDesc, field: FieldDesc) -> None:
+    """Raise ValueError unless source is the prime field of field's characteristic."""
+    if source.p != field.p:
+        raise ValueError("cannot move a scalar across characteristics")
+    if source.s != 1:
+        raise ValueError(f"only prime-field scalars embed into {field}, not {source}")
+
+
+def embed(field: FieldDesc, c: FieldElement) -> FieldElement:
+    """A scalar of F_p (or of field itself) as an element of field."""
+    if c.field is field:
+        return c
+    check_embedding(c.field, field)
+    return field.from_int(c.coeffs[0])
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,15 @@ from fractions import Fraction
 import numpy as np
 
 from . import _gfkernel as k
-from .ffield import FieldDesc, FieldElement, FieldParseError, format_element, parse_element
+from .exactq import prime_divisors
+from .ffield import (
+    FieldDesc,
+    FieldElement,
+    FieldParseError,
+    check_embedding,
+    format_element,
+    parse_element,
+)
 
 
 class _RationalField:
@@ -143,6 +151,13 @@ class Poly:
 
     def is_constant(self) -> bool:
         return self.degree() <= 0
+
+    def embedded(self, field: FieldDesc) -> "Poly":
+        """This polynomial over F_p (or over field itself) as one over field."""
+        if self.field is field:
+            return self
+        check_embedding(self.field, field)
+        return Poly.from_block(field, np.pad(self._block, ((0, 0), (0, field.s - 1))))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -385,7 +400,7 @@ def is_irreducible(f: Poly) -> bool:
     xq = k.powmod(x, q**d, fb, field)
     if not (k.sub(xq, x, field).shape[0] == 0):
         return False
-    for ell in {d // e for e in _prime_divisors(d)}:
+    for ell in {d // e for e in prime_divisors(d)}:
         g = k.powmod(x, q**ell, fb, field)
         g = k.sub(g, x, field)
         if k.gcd_block(g, fb, field).shape[0] > 1:
@@ -393,23 +408,9 @@ def is_irreducible(f: Poly) -> bool:
     return True
 
 
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _mobius(n: int) -> int:
     mu = 1
-    for d in _prime_divisors(n):
+    for d in prime_divisors(n):
         if n % (d * d) == 0:
             return 0
         mu = -mu

@@ -140,13 +140,6 @@ class AlgebraicEquation:
         return " + ".join(parts) + " = 0"
 
 
-def _lift_poly(field: FieldDesc, f: Poly) -> Poly:
-    """Carry a prime-field polynomial into an extension of the same p."""
-    if f.field is field:
-        return f
-    return Poly(field, [field.from_int(c.coeffs[0]) for c in f.coeffs_list()])
-
-
 def _head_continuants(spec: TypeSpec) -> tuple[list[Poly], list[Poly]]:
     quotients = [Poly.monomial(spec.field, 1, lam) for lam in spec.lambdas]
     rec = contfrac.predicted_record(spec.field, quotients)
@@ -155,7 +148,7 @@ def _head_continuants(spec: TypeSpec) -> tuple[list[Poly], list[Poly]]:
 
 def _seed_polys(spec: TypeSpec) -> tuple[Poly, Poly]:
     sp = build_seedpair(spec.p, spec.t, spec.k)
-    return _lift_poly(spec.field, sp.Pk), _lift_poly(spec.field, sp.Qk)
+    return sp.Pk.embedded(spec.field), sp.Qk.embedded(spec.field)
 
 
 def build_equation(spec: TypeSpec) -> AlgebraicEquation:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dfield
 
 from . import contfrac
 from .contfrac import ExpansionRecord, UndefinedBracketError
-from .ffield import FieldDesc, FieldElement, frobenius, frobenius_inverse
+from .ffield import FieldDesc, FieldElement, embed, frobenius, frobenius_inverse
 from .fpoly import Poly, format_poly
 from .hyper import ConvergenceError, TypeSpec, expand_alpha
 from .seedpair import (
@@ -155,11 +155,6 @@ class PerfectSequences:
         }
 
 
-def _lift(field: FieldDesc, c: FieldElement) -> FieldElement:
-    # prime-field scalar into the working extension
-    return field.from_int(c.coeffs[0])
-
-
 def _power_sign(x: FieldElement, positive: bool) -> FieldElement:
     return x if positive else x.inverse()
 
@@ -175,8 +170,8 @@ def condition_II(spec: TypeSpec):
     """
     pair = build_seedpair(spec.p, spec.t, spec.k)
     F, t, k = spec.field, spec.t, spec.k
-    theta = _lift(F, pair.theta)
-    omega = _lift(F, pair.omega)
+    theta = embed(F, pair.theta)
+    omega = embed(F, pair.omega)
     two_k_theta = F.from_int(2 * k) * theta
     anchor = two_k_theta * spec.eps2.inverse()
     lam_r = [frobenius(lam, t) for lam in spec.lambdas]
@@ -213,7 +208,7 @@ def classify_case(spec: TypeSpec, delta_l: FieldElement) -> str:
     """Closed case iff delta_l equals 4k^2 theta (eps1/eps2)^r."""
     pair = build_seedpair(spec.p, spec.t, spec.k)
     F, k = spec.field, spec.k
-    theta = _lift(F, pair.theta)
+    theta = embed(F, pair.theta)
     target = (
         F.from_int(4 * k * k)
         * theta
@@ -234,8 +229,8 @@ def generate_sequences(spec: TypeSpec, n_max: int):
     pair = build_seedpair(spec.p, spec.t, spec.k)
     F, t, k, l = spec.field, spec.t, spec.k, spec.l
     idx = IndexMachinery(k, l)
-    theta = _lift(F, pair.theta)
-    omega = _lift(F, pair.omega)
+    theta = embed(F, pair.theta)
+    omega = embed(F, pair.omega)
 
     head = condition_II(spec)
     if isinstance(head, NotPerfect):
@@ -328,7 +323,7 @@ def generate_sequences(spec: TypeSpec, n_max: int):
                 lambdas[m] = _power_sign(spec.eps1, n_even) * lam_r
             else:
                 lambdas[m] = -(
-                    _lift(F, pair.v[i - 1])
+                    embed(F, pair.v[i - 1])
                     * _power_sign(spec.eps1, n_even == i_even)
                     * _power_sign(deltas[n], i_even)
                 )
@@ -349,6 +344,14 @@ def generate_sequences(spec: TypeSpec, n_max: int):
     )
 
 
+def _tower_over(
+    field: FieldDesc, pair: SeedPair, idx: IndexMachinery, n_max: int
+) -> list[Poly]:
+    """The tower A_1.. as deep as indices 1..n_max need, embedded in field."""
+    depth = max(idx.i(n) for n in range(1, n_max + 1))
+    return [A.embedded(field) for A in build_tower(pair, depth)]
+
+
 def predict_expansion(spec: TypeSpec, n_max: int):
     """Quotients lambda_n * A_{i(n)} for n <= n_max, or NotPerfect."""
     seqs = generate_sequences(spec, n_max)
@@ -362,13 +365,9 @@ def predicted_record_from(seqs: PerfectSequences, n_max: int) -> ExpansionRecord
         raise ValueError("sequences were not generated far enough")
     F = seqs.spec.field
     idx = seqs.index
-    depth = max(idx.i(n) for n in range(1, n_max + 1))
-    tower = build_tower(seqs.pair, depth)
-    lifted = [
-        Poly(F, [_lift(F, c) for c in A.coeffs_list()]) for A in tower
-    ]
+    tower = _tower_over(F, seqs.pair, idx, n_max)
     quotients = [
-        lifted[idx.i(n) - 1].scaled(seqs.lambdas[n]) for n in range(1, n_max + 1)
+        tower[idx.i(n) - 1].scaled(seqs.lambdas[n]) for n in range(1, n_max + 1)
     ]
     return contfrac.predicted_record(F, quotients)
 
@@ -497,12 +496,9 @@ def differential_verify(spec: TypeSpec, n_max: int) -> MatchReport:
 
 def _first_shape_break(direct: ExpansionRecord, spec: TypeSpec, idx) -> int | None:
     pair = build_seedpair(spec.p, spec.t, spec.k)
-    F = spec.field
-    depth = max(idx.i(n) for n in range(1, len(direct) + 1))
-    tower = build_tower(pair, depth)
-    lifted = [Poly(F, [_lift(F, c) for c in A.coeffs_list()]) for A in tower]
+    tower = _tower_over(spec.field, pair, idx, len(direct))
     for n, q in enumerate(direct.quotients, start=1):
-        if not _scalar_quotient_shape(q, lifted[idx.i(n) - 1]):
+        if not _scalar_quotient_shape(q, tower[idx.i(n) - 1]):
             return n
     return None
 
@@ -520,8 +516,8 @@ def consistency_suite(seqs: PerfectSequences) -> dict[str, bool]:
     spec, pair = seqs.spec, seqs.pair
     F, t, k, l = spec.field, spec.t, spec.k, spec.l
     idx = seqs.index
-    theta = _lift(F, pair.theta)
-    omega = _lift(F, pair.omega)
+    theta = embed(F, pair.theta)
+    omega = embed(F, pair.omega)
     two_k_theta = F.from_int(2 * k) * theta
     e1r = frobenius(spec.eps1, t)
     deltas, gammas, lambdas = seqs.deltas, seqs.gammas, seqs.lambdas
@@ -566,7 +562,7 @@ def consistency_suite(seqs: PerfectSequences) -> dict[str, bool]:
             lhs = deltas[m] + (omega * deltas[m - 1]).inverse()
             rhs = -(
                 two_k_theta
-                * _lift(F, pair.v[i - 1])
+                * embed(F, pair.v[i - 1])
                 * _power_sign(e1r, (n + i) % 2 == 0)
                 * _power_sign(dn_r, i % 2 == 0)
             )
@@ -644,7 +640,7 @@ def case_one_eps1(
     if isinstance(head, NotPerfect):
         return None
     pair = build_seedpair(field.p, t, k)
-    theta = _lift(field, pair.theta)
+    theta = embed(field, pair.theta)
     ratio_r = head[-1] * (field.from_int(4 * k * k) * theta).inverse()
     return eps2 * frobenius_inverse(ratio_r, t)
 
@@ -666,8 +662,8 @@ def degenerate_next_lambda(
     if isinstance(head, NotPerfect):
         raise ValueError("head already breaks down; nothing to extend")
     pair = build_seedpair(field.p, t, k)
-    theta = _lift(field, pair.theta)
-    omega = _lift(field, pair.omega)
+    theta = embed(field, pair.theta)
+    omega = embed(field, pair.omega)
     two_k_theta = field.from_int(2 * k) * theta
     lam_r = (omega * head[-1]).inverse() * two_k_theta.inverse()
     lam = frobenius_inverse(lam_r, t)

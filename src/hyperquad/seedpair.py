@@ -7,6 +7,13 @@ pair (P, Q) together with its scalar data (v, theta, omega, w, b) over
 the prime field, and exposes the two one-parameter function families g
 and h used by the predicted-expansion machinery, with their internal
 identities checkable as exact polynomial statements.
+
+Every constant of the families is reduced into F_p once, when the pair
+is built: the middle g scalars 2k theta v_i i/(2k-2i+1) are kept as
+SeedPair.g_scalars and the h scalars (-1)^i binom(2k, i) as
+SeedPair.h_scalars.  Field evaluations read them and embed them into the
+working field F_q with ffield.embed; only evaluation at exact rationals
+goes back to the rational constants.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from .exactq import (
     vp,
     w_sequence_int,
 )
-from .ffield import FieldDesc, FieldElement, make_field
+from .ffield import FieldDesc, FieldElement, embed, make_field
 from .fpoly import Poly
 
 __all__ = [
@@ -90,7 +97,10 @@ class SeedPair:
 
     v has length 2k (entry i-1 holds v_i), w has length 2k (indices 0
     through 2k-1), b has length k, and Pk, Qk live in F_p[T] with
-    deg Pk = 2k, deg Qk = 2k - 1.
+    deg Pk = 2k, deg Qk = 2k - 1.  The reduced scalars of the g and h
+    families come with the pair: g_scalars has length 2k - 1 (entry i-1
+    holds 2k theta v_i i/(2k-2i+1) for the middle member g_i) and
+    h_scalars has length 2k + 1 (entry i holds (-1)^i binom(2k, i)).
     """
 
     p: int
@@ -102,6 +112,8 @@ class SeedPair:
     omega: FieldElement
     w: tuple[FieldElement, ...]
     b: tuple[FieldElement, ...]
+    g_scalars: tuple[FieldElement, ...]
+    h_scalars: tuple[FieldElement, ...]
     Pk: Poly
     Qk: Poly
 
@@ -153,6 +165,15 @@ def build_seedpair(p: int, t: int, k: int) -> SeedPair:
     omega = emb(omegaq)
     w = tuple(emb(x) for x in wints)
     b = tuple(emb(x) for x in bq)
+    # i/(2k-2i+1) is reduced as an exact fraction first: numerator and
+    # denominator share their full power of p, so the quotient is a unit
+    g_scalars = tuple(
+        emb(2 * k * thetaq * vq[i - 1] * Fraction(i, 2 * k - 2 * i + 1))
+        for i in range(1, 2 * k)
+    )
+    h_scalars = tuple(
+        field.from_int((-1) ** i * math.comb(2 * k, i)) for i in range(2 * k + 1)
+    )
 
     Pk = Poly(field, [-1, 0, 1]) ** k
     coeffs = [field.zero] * (2 * k)
@@ -176,8 +197,7 @@ def build_seedpair(p: int, t: int, k: int) -> SeedPair:
     for i in range(1, 2 * k):
         diff = w[i] - w[i - 1]
         _require(
-            diff == field.from_int((-1) ** i * math.comb(2 * k, i))
-            and not diff.is_zero(),
+            diff == h_scalars[i] and not diff.is_zero(),
             f"w difference fails at i={i}",
         )
     rec = contfrac.expand_rational(Pk, Qk)
@@ -186,7 +206,8 @@ def build_seedpair(p: int, t: int, k: int) -> SeedPair:
 
     return SeedPair(
         p=p, t=t, k=k, field=field,
-        v=v, theta=theta, omega=omega, w=w, b=b, Pk=Pk, Qk=Qk,
+        v=v, theta=theta, omega=omega, w=w, b=b,
+        g_scalars=g_scalars, h_scalars=h_scalars, Pk=Pk, Qk=Qk,
     )
 
 
@@ -201,20 +222,9 @@ def build_seedpair(p: int, t: int, k: int) -> SeedPair:
 #     h_i = (-1)^i binom(2k,i) theta X /((theta + w_i X)(theta + w_{i-1} X)).
 
 
-def _mid_g_scalar_q(k: int, i: int) -> Fraction:
-    # i/(2k-2i+1) is reduced as an exact fraction first: numerator and
-    # denominator share their full power of p, so the quotient is a unit.
-    vq = v_sequence_rational(k)
-    thetaq, _ = theta_omega_rational(k)
-    return 2 * k * thetaq * vq[i - 1] * Fraction(i, 2 * k - 2 * i + 1)
-
-
-def _embed(field: FieldDesc, c: FieldElement) -> FieldElement:
-    if field is c.field:
-        return c
-    if field.p != c.field.p:
-        raise ValueError("cannot move a scalar across characteristics")
-    return field.from_int(c.coeffs[0])
+def _check_index(pair: SeedPair, i: int) -> None:
+    if not 0 <= i <= 2 * pair.k:
+        raise ValueError(f"family index must lie in 0..{2 * pair.k}, got {i}")
 
 
 def eval_g(pair: SeedPair, i: int, x) -> FieldElement | Fraction:
@@ -224,13 +234,12 @@ def eval_g(pair: SeedPair, i: int, x) -> FieldElement | Fraction:
     caller decides what a pole means (for the predicted sequences it
     means the prediction breaks down, not a programming error).
     """
+    _check_index(pair, i)
     k = pair.k
-    if not 0 <= i <= 2 * k:
-        raise ValueError(f"family index must lie in 0..{2 * k}, got {i}")
     if isinstance(x, (int, Fraction)):
         return _eval_g_exact(k, i, Fraction(x))
     field = x.field
-    theta = _embed(field, pair.theta)
+    theta = embed(field, pair.theta)
     if i == 0:
         return theta + x
     if i == 2 * k:
@@ -238,11 +247,11 @@ def eval_g(pair: SeedPair, i: int, x) -> FieldElement | Fraction:
         if den.is_zero():
             raise UndefinedValueError(f"g_{i} has a pole at {x}")
         return den.inverse()
-    c = field.from_int(reduce_mod(_mid_g_scalar_q(k, i), pair.p))
-    den = theta + _embed(field, pair.w[i - 1]) * x
+    den = theta + embed(field, pair.w[i - 1]) * x
     if den.is_zero():
         raise UndefinedValueError(f"g_{i} has a pole at {x}")
-    return c * (theta + _embed(field, pair.w[i]) * x) / den
+    c = embed(field, pair.g_scalars[i - 1])
+    return c * (theta + embed(field, pair.w[i]) * x) / den
 
 
 def _eval_g_exact(k: int, i: int, x: Fraction) -> Fraction:
@@ -258,26 +267,26 @@ def _eval_g_exact(k: int, i: int, x: Fraction) -> Fraction:
     den = thetaq + w[i - 1] * x
     if den == 0:
         raise UndefinedValueError(f"g_{i} has a pole at {x}")
-    return _mid_g_scalar_q(k, i) * (thetaq + w[i] * x) / den
+    c = 2 * k * thetaq * v_sequence_rational(k)[i - 1] * Fraction(i, 2 * k - 2 * i + 1)
+    return c * (thetaq + w[i] * x) / den
 
 
 def eval_h(pair: SeedPair, i: int, x) -> FieldElement | Fraction:
     """Value of h_i at x; same conventions as eval_g.  h_i(0) = 0."""
+    _check_index(pair, i)
     k = pair.k
-    if not 0 <= i <= 2 * k:
-        raise ValueError(f"family index must lie in 0..{2 * k}, got {i}")
     if isinstance(x, (int, Fraction)):
         return _eval_h_exact(k, i, Fraction(x))
     field = x.field
-    theta = _embed(field, pair.theta)
+    theta = embed(field, pair.theta)
     if i == 0 or i == 2 * k:
         den = theta + x if i == 0 else theta - x
         if den.is_zero():
             raise UndefinedValueError(f"h_{i} has a pole at {x}")
         return x / den
-    c = field.from_int((-1) ** i * math.comb(2 * k, i))
-    den = (theta + _embed(field, pair.w[i]) * x) * (
-        theta + _embed(field, pair.w[i - 1]) * x
+    c = embed(field, pair.h_scalars[i])
+    den = (theta + embed(field, pair.w[i]) * x) * (
+        theta + embed(field, pair.w[i - 1]) * x
     )
     if den.is_zero():
         raise UndefinedValueError(f"h_{i} has a pole at {x}")
@@ -301,8 +310,9 @@ def _eval_h_exact(k: int, i: int, x: Fraction) -> Fraction:
 # -- identity validation ----------------------------------------------------
 
 
-def _g_fraction(pair: SeedPair, i: int) -> tuple[Poly, Poly]:
-    """g_i as a (numerator, denominator) pair in F_p[X]."""
+def g_fraction(pair: SeedPair, i: int) -> tuple[Poly, Poly]:
+    """g_i as a (numerator, denominator) pair of polynomials over F_p."""
+    _check_index(pair, i)
     field, k = pair.field, pair.k
     one = Poly.one(field)
     X = Poly.monomial(field, 1)
@@ -311,13 +321,14 @@ def _g_fraction(pair: SeedPair, i: int) -> tuple[Poly, Poly]:
         return th + X, one
     if i == 2 * k:
         return one, th - X
-    c = field.from_int(reduce_mod(_mid_g_scalar_q(k, i), pair.p))
-    num = (th + X.scaled(pair.w[i])).scaled(c)
+    num = (th + X.scaled(pair.w[i])).scaled(pair.g_scalars[i - 1])
     den = th + X.scaled(pair.w[i - 1])
     return num, den
 
 
-def _h_fraction(pair: SeedPair, i: int) -> tuple[Poly, Poly]:
+def h_fraction(pair: SeedPair, i: int) -> tuple[Poly, Poly]:
+    """h_i as a (numerator, denominator) pair of polynomials over F_p."""
+    _check_index(pair, i)
     field, k = pair.field, pair.k
     X = Poly.monomial(field, 1)
     th = Poly.constant(field, pair.theta)
@@ -325,23 +336,8 @@ def _h_fraction(pair: SeedPair, i: int) -> tuple[Poly, Poly]:
         return X, th + X
     if i == 2 * k:
         return X, th - X
-    c = field.from_int((-1) ** i * math.comb(2 * k, i)) * pair.theta
     den = (th + X.scaled(pair.w[i])) * (th + X.scaled(pair.w[i - 1]))
-    return X.scaled(c), den
-
-
-def g_fraction(pair: SeedPair, i: int) -> tuple[Poly, Poly]:
-    """g_i as a (numerator, denominator) pair of polynomials over F_p."""
-    if not 0 <= i <= 2 * pair.k:
-        raise ValueError(f"family index must lie in 0..{2 * pair.k}, got {i}")
-    return _g_fraction(pair, i)
-
-
-def h_fraction(pair: SeedPair, i: int) -> tuple[Poly, Poly]:
-    """h_i as a (numerator, denominator) pair of polynomials over F_p."""
-    if not 0 <= i <= 2 * pair.k:
-        raise ValueError(f"family index must lie in 0..{2 * pair.k}, got {i}")
-    return _h_fraction(pair, i)
+    return X.scaled(pair.h_scalars[i] * pair.theta), den
 
 
 def validate_identities(pair: SeedPair) -> dict[str, bool]:
@@ -356,8 +352,8 @@ def validate_identities(pair: SeedPair) -> dict[str, bool]:
     X = Poly.monomial(field, 1)
     th = Poly.constant(field, pair.theta)
     two_k_theta = field.from_int(2 * k) * pair.theta
-    g = [_g_fraction(pair, i) for i in range(2 * k + 1)]
-    h = [_h_fraction(pair, i) for i in range(2 * k + 1)]
+    g = [g_fraction(pair, i) for i in range(2 * k + 1)]
+    h = [h_fraction(pair, i) for i in range(2 * k + 1)]
     report: dict[str, bool] = {}
 
     ok = True

@@ -211,3 +211,45 @@ def test_frobenius_matrix_is_cached_per_field(p, s):
             x = FieldElement(field, c)
             img = x if t % s == 0 else frobenius(x, t)
             assert (m @ np.array(c) % p).tolist() == list(img.coeffs)
+
+
+def _monic_modulus(field, d, seed):
+    rng = np.random.default_rng(seed)
+    f = rng.integers(0, field.p, size=(d + 1, field.s), dtype=np.int64)
+    f[-1] = 0
+    f[-1, 0] = 1
+    return f
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("s", (1, 2))
+def test_powmod_matches_repeated_mulmod(p, s):
+    field = make_field(p, s)
+    d = 3
+    f = _monic_modulus(field, d, p * 10 + s)
+    a = blocks(field, 5, 1, p + s)[0]
+    exponents = {0, 1, 2, p, 2**5, (p**d - 1) // 2}
+    want = k.zeros(field, 1)
+    want[0, 0] = 1
+    want = k.rem_block(want, f, field)
+    for e in range(max(exponents) + 1):
+        if e in exponents:
+            assert np.array_equal(k.powmod(a, e, f, field), want), e
+        want = k.mulmod(want, a, f, field)
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 7, 8, 13, 64])
+def test_powmod_squares_only_below_the_top_bit(e, monkeypatch):
+    field = make_field(7, 1)
+    f = _monic_modulus(field, 4, 7)
+    a = blocks(field, 6, 1, e)[0]
+    calls = []
+    real = k.mulmod
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(k, "mulmod", counted)
+    k.powmod(a, e, f, field)
+    assert len(calls) == (e.bit_length() - 1) + bin(e).count("1")

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hyperquad import contfrac
-from hyperquad.exactq import theta_omega_rational, v_sequence_rational
-from hyperquad.ffield import f27_preset, make_field
-from hyperquad.fpoly import Poly
+from hyperquad import contfrac, seedpair
+from hyperquad.exactq import reduce_mod, theta_omega_rational, v_sequence_rational
+from hyperquad.ffield import embed, f27_preset, make_field
+from hyperquad.fpoly import QQ, Poly
 from hyperquad.seedpair import (
     AdmissibilityError,
     UndefinedValueError,
@@ -18,6 +18,8 @@ from hyperquad.seedpair import (
     build_seedpair,
     eval_g,
     eval_h,
+    g_fraction,
+    h_fraction,
     validate_identities,
 )
 
@@ -203,3 +205,101 @@ def test_g_recursion_exact(k, num, den, i):
         assume(False)
     assume(gi != 0)
     assert gi1 == 2 * k * thetaq * (-v[i] + 2 * k * thetaq / gi)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_reduced_scalars_match_exact_rationals(p):
+    # every admissible k <= 24, each at the least t admitting it; levels
+    # first admitted at t = 4 are at least 3^3 + 13 = 40
+    levels = {}
+    for t in (3, 2, 1):
+        for k in admissible_set(p, t):
+            if k <= 24:
+                levels[k] = t
+    for k, t in sorted(levels.items()):
+        sp = build_seedpair(p, t, k)
+        F = sp.field
+        thetaq, _ = theta_omega_rational(k)
+        vq = v_sequence_rational(k)
+        want_g = [
+            2 * k * thetaq * vq[i - 1] * Fraction(i, 2 * k - 2 * i + 1)
+            for i in range(1, 2 * k)
+        ]
+        want_h = [(-1) ** i * math.comb(2 * k, i) for i in range(2 * k + 1)]
+        assert sp.g_scalars == tuple(F.from_int(reduce_mod(c, p)) for c in want_g)
+        assert sp.h_scalars == tuple(F.from_int(reduce_mod(c, p)) for c in want_h)
+
+
+def test_field_evaluation_does_no_rational_arithmetic(monkeypatch):
+    sp = build_seedpair(5, 2, 7)
+    F = make_field(5, 2)
+    points = [F.zero, F.one, F.u, F.u + F.from_int(3), F.from_int(2) * F.u]
+
+    def values():
+        out = []
+        for x in points:
+            for fn in (eval_g, eval_h):
+                for i in range(2 * sp.k + 1):
+                    try:
+                        out.append(fn(sp, i, x))
+                    except UndefinedValueError:
+                        out.append(None)
+        for i in range(2 * sp.k + 1):
+            out.append(g_fraction(sp, i))
+            out.append(h_fraction(sp, i))
+        return out
+
+    before = values()
+
+    def refuse(*args):
+        raise AssertionError("rational constants recomputed on the field path")
+
+    monkeypatch.setattr(seedpair, "v_sequence_rational", refuse)
+    monkeypatch.setattr(seedpair, "theta_omega_rational", refuse)
+    assert values() == before
+
+
+def test_family_index_is_checked():
+    sp = build_seedpair(5, 1, 2)
+    for fn in (eval_g, eval_h):
+        for i in (-1, 2 * sp.k + 1):
+            with pytest.raises(ValueError):
+                fn(sp, i, sp.field.one)
+            with pytest.raises(ValueError):
+                fn(sp, i, Fraction(1, 3))
+    for fn in (g_fraction, h_fraction):
+        with pytest.raises(ValueError):
+            fn(sp, 2 * sp.k + 1)
+
+
+def test_embed_scalars():
+    F3, F27 = make_field(3, 1), f27_preset()
+    for n in range(3):
+        c = F3.from_int(n)
+        assert embed(F27, c) == F27.from_int(n)
+        assert embed(F3, c) is c
+    u = F27.u
+    assert embed(F27, u) is u
+    with pytest.raises(ValueError):
+        embed(F27, make_field(5, 1).one)
+    with pytest.raises(ValueError):
+        embed(F27, make_field(3, 2).u)
+    with pytest.raises(ValueError):
+        embed(make_field(3, 2), F27.one)
+
+
+def test_embedded_polynomials():
+    sp = build_seedpair(3, 2, 4)
+    F27 = f27_preset()
+    for f in (sp.Pk, sp.Qk, Poly.zero(sp.field), Poly.one(sp.field)):
+        lifted = f.embedded(F27)
+        assert lifted.field is F27
+        assert lifted == Poly(F27, [embed(F27, c) for c in f.coeffs_list()])
+        assert f.embedded(sp.field) is f
+    F9 = make_field(3, 2)
+    with pytest.raises(ValueError):
+        Poly(make_field(5, 1), [1, 2]).embedded(F27)
+    with pytest.raises(ValueError):
+        Poly.monomial(F9, 2, F9.u).embedded(F27)
+    with pytest.raises(ValueError):
+        Poly(QQ, [1, 2]).embedded(F27)
