@@ -1,9 +1,16 @@
 """Dense coefficient kernel for polynomials and truncated series over F_{p^s}.
 
 Coefficient blocks are int64 arrays of shape (n, s): row i holds the s
-coordinates of the coefficient of T^i (low degree first).  Entries are kept
-in [0, p).  The coordinate reduction u^j -> basis uses the matrices carried
-by the FieldDesc, so everything here works uniformly for s = 1 and s > 1.
+coordinates of the coefficient of T^i (low degree first).  The coordinate
+reduction u^j -> basis uses the matrices carried by the FieldDesc, so
+everything here works uniformly for s = 1 and s > 1.
+
+Normal form: every entry lies in [0, p) and the top row is nonzero (the
+zero polynomial is the (0, s) block).  Every block a function here returns
+is in normal form, and callers may wrap it as it is.  mul, add and sub also
+accept blocks with zero top rows and still return normal form; neg and
+scalar_mul keep the row count, so they return normal form when given it.
+Every other function takes normal-form blocks and does not re-check them.
 
 Multiplication is one convolution for every s.  Each (n, s) block is laid
 out with a row stride of w = 2s - 1 (Kronecker substitution in u): slot
@@ -22,7 +29,11 @@ most s*min(la, lb)*(p-1)^2, and at the sizes used here the float64 error of
 the transforms is orders of magnitude below 1/2, so rounding recovers them.
 The margin check guards that premise: if any entry of the inverse transform
 lies 0.25 or more from the nearest integer, the product is recomputed by
-exact chunked integer convolution.
+exact chunked integer convolution.  Products whose coefficient bound
+s*min(la, lb)*(p-1)^2 reaches 2^50 skip both paths and take that exact
+convolution at once: near 2^53 a float64 has no fractional bits left for
+the margin check to read, and int64 sums may overflow.  For p < 2^25 (the
+bound make_field enforces) each 4096-term piece of it stays below 2^62.
 """
 
 from __future__ import annotations
@@ -31,20 +42,20 @@ import zlib
 
 import numpy as np
 
+from .exactq import prime_divisors
+
 # np.convolve while the packed product makes at most _DIRECT_WORK products,
 # or at most _DIRECT_PER_SLOT per output slot (thin operands); FFT otherwise
 _DIRECT_WORK = 1 << 16
 _DIRECT_PER_SLOT = 64
 # piece length of the exact fallback convolution
 _CHUNK = 4096
+# products whose coefficients may reach this bound take the exact fallback
+_EXACT_BOUND = 1 << 50
 
 
 def zeros(field, n: int) -> np.ndarray:
     return np.zeros((n, field.s), dtype=np.int64)
-
-
-def from_rows(rows) -> np.ndarray:
-    return np.array(rows, dtype=np.int64)
 
 
 def trim(b: np.ndarray) -> np.ndarray:
@@ -52,15 +63,6 @@ def trim(b: np.ndarray) -> np.ndarray:
     while n > 0 and not b[n - 1].any():
         n -= 1
     return b[:n]
-
-
-def is_zero(b: np.ndarray) -> bool:
-    return b.shape[0] == 0 or not b.any()
-
-
-def deg(b: np.ndarray) -> int:
-    """Degree of a trimmed block; -1 for zero."""
-    return b.shape[0] - 1
 
 
 def add(a: np.ndarray, b: np.ndarray, field) -> np.ndarray:
@@ -142,7 +144,9 @@ def mul(a: np.ndarray, b: np.ndarray, field) -> np.ndarray:
     n = la + lb - 1
     w = 2 * s - 1
     work = la * lb * w * w  # products np.convolve makes on the packed rows
-    if work <= _DIRECT_WORK or work <= _DIRECT_PER_SLOT * (la + lb) * w:
+    if s * min(la, lb) * (p - 1) ** 2 >= _EXACT_BOUND:
+        raw = _conv_chunked(_pack(a, w), _pack(b, w), p)[: n * w].reshape(n, w)
+    elif work <= _DIRECT_WORK or work <= _DIRECT_PER_SLOT * (la + lb) * w:
         raw = np.convolve(_pack(a, w), _pack(b, w))[: n * w].reshape(n, w)
     else:
         raw = _fft_raw(a, b, w, p)
@@ -158,9 +162,10 @@ def scalar_mul(a: np.ndarray, c_row, field) -> np.ndarray:
     c = np.asarray(c_row, dtype=np.int64)
     if not c.any() or a.shape[0] == 0:
         return np.zeros((0, field.s), dtype=np.int64)
+    # a nonzero scalar keeps a nonzero top row nonzero
     if field.s == 1:
-        return trim(a * int(c[0]) % field.p)
-    return trim(a @ mult_matrix(field, c).T % field.p)
+        return a * int(c[0]) % field.p
+    return a @ mult_matrix(field, c).T % field.p
 
 
 def mult_matrix(field, c_row) -> np.ndarray:
@@ -173,43 +178,41 @@ def mult_matrix(field, c_row) -> np.ndarray:
 
 def row_inverse(field, c_row):
     """Coordinate row of the inverse field element."""
-    from .ffield import FieldElement
-
-    x = FieldElement(field, tuple(int(v) % field.p for v in c_row))
-    return np.array(x.inverse().coeffs, dtype=np.int64)
+    return field.el(c_row).inverse().coeffs
 
 
 def divmod_block(a: np.ndarray, b: np.ndarray, field):
-    b = trim(b)
     if b.shape[0] == 0:
         raise ZeroDivisionError("polynomial division by zero")
-    a = trim(a).copy()
     db, da = b.shape[0] - 1, a.shape[0] - 1
     if da < db:
         return np.zeros((0, field.s), dtype=np.int64), a
     p, s = field.p, field.s
+    a = a.copy()
     inv_lead = row_inverse(field, b[db])
+    # the top quotient row is lead(a) * lead(b)^-1 != 0, and each step
+    # clears row i of a, so only the remainder's rows below db need a trim
     q = np.zeros((da - db + 1, s), dtype=np.int64)
     if s == 1:
         bcol = b[:, 0]
         acol = a[:, 0]
-        il = int(inv_lead[0])
+        il = inv_lead[0]
         for i in range(da, db - 1, -1):
-            c = acol[i] % p
+            c = acol[i]
             if c:
                 c = c * il % p
                 q[i - db, 0] = c
                 acol[i - db : i + 1] = (acol[i - db : i + 1] - c * bcol) % p
-        return trim(q), trim(acol.reshape(-1, 1))
+        return q, trim(a[:db])
     inv_m = mult_matrix(field, inv_lead)
     for i in range(da, db - 1, -1):
-        lead = a[i] % p
+        lead = a[i]
         if lead.any():
             c = inv_m @ lead % p
             q[i - db] = c
             cm = mult_matrix(field, c)
             a[i - db : i + 1] = (a[i - db : i + 1] - b @ cm.T) % p
-    return trim(q), trim(a)
+    return q, trim(a[:db])
 
 
 def rem_block(a: np.ndarray, b: np.ndarray, field) -> np.ndarray:
@@ -217,14 +220,14 @@ def rem_block(a: np.ndarray, b: np.ndarray, field) -> np.ndarray:
 
 
 def gcd_block(a: np.ndarray, b: np.ndarray, field) -> np.ndarray:
-    a, b = trim(a), trim(b)
     while b.shape[0] > 0:
         a, b = b, rem_block(a, b, field)
     return monic(a, field)
 
 
 # ---------------------------------------------------------------------------
-# modular arithmetic and factorization over a prime field (s = 1)
+# modular arithmetic and irreducibility over F_q; factorization over a prime
+# field (s = 1)
 # ---------------------------------------------------------------------------
 
 
@@ -249,6 +252,29 @@ def powmod(a: np.ndarray, e: int, f: np.ndarray, field) -> np.ndarray:
     return result
 
 
+def is_irreducible(f: np.ndarray, field) -> bool:
+    """Rabin test over F_q, q = field.order, for f of degree d.
+
+    f is irreducible iff x^(q^d) = x mod f and x^(q^(d/l)) - x is coprime
+    to f for every prime l dividing d.
+    """
+    d = f.shape[0] - 1
+    if d < 1:
+        return False
+    if d == 1:
+        return True
+    q = field.order
+    x = zeros(field, 2)
+    x[1, 0] = 1
+    if sub(powmod(x, q**d, f, field), x, field).shape[0] > 0:
+        return False
+    for ell in prime_divisors(d):
+        g = sub(powmod(x, q ** (d // ell), f, field), x, field)
+        if gcd_block(g, f, field).shape[0] > 1:
+            return False
+    return True
+
+
 def derivative(a: np.ndarray, field) -> np.ndarray:
     if a.shape[0] <= 1:
         return np.zeros((0, field.s), dtype=np.int64)
@@ -257,7 +283,6 @@ def derivative(a: np.ndarray, field) -> np.ndarray:
 
 
 def monic(a: np.ndarray, field) -> np.ndarray:
-    a = trim(a)
     if a.shape[0] == 0:
         return a
     return scalar_mul(a, row_inverse(field, a[-1]), field)
@@ -280,7 +305,7 @@ def squarefree_decomposition(f: np.ndarray, field) -> list[tuple[np.ndarray, int
         return []
     out: dict[int, np.ndarray] = {}
     df = derivative(f, field)
-    if is_zero(df):
+    if df.shape[0] == 0:
         inner = pth_root(f, field)
         for g, m in squarefree_decomposition(inner, field):
             out[m * p] = g
@@ -354,7 +379,6 @@ def factor(f: np.ndarray, field) -> tuple[np.ndarray, list[tuple[np.ndarray, int
     """Full factorization over a prime field: (unit row, [(monic irreducible, mult)])."""
     if field.s != 1:
         raise ValueError("factorization is implemented over prime fields only")
-    f = trim(f)
     if f.shape[0] == 0:
         raise ZeroDivisionError("cannot factor the zero polynomial")
     unit = f[-1].copy()

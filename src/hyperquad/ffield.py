@@ -6,7 +6,8 @@ where u is the residue class of the modulus variable.  Display prefers the
 power notation "u^k" / "-u^k" whenever the field is small enough to carry a
 power table of u; everything else falls back to comma-separated coordinates.
 
-Odd characteristic only.
+Odd characteristic p < 2^25 only: below that bound (p-1)^2 < 2^50, and
+the dense kernel's exact products stay inside int64.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import itertools
 
 import numpy as np
 
-from .exactq import is_prime, prime_divisors
+from . import _gfkernel
+from .exactq import is_prime
 
 
 class FieldConstructionError(ValueError):
@@ -36,82 +38,12 @@ class FieldParseError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# small helpers on coefficient lists over F_p (low degree first), used only
-# for modulus validation; the public polynomial type lives in fpoly
-# ---------------------------------------------------------------------------
-
-
-def _trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _polymulmod(a, b, f, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _polyrem(out, f, p)
-
-
-def _polyrem(a, f, p):
-    a = list(a)
-    dn, df = len(a) - 1, len(f) - 1
-    inv_lead = pow(f[-1], -1, p)
-    for i in range(dn, df - 1, -1):
-        c = a[i] % p
-        if c:
-            c = c * inv_lead % p
-            for j in range(df + 1):
-                a[i - df + j] = (a[i - df + j] - c * f[j]) % p
-    return _trim(a[:df])
-
-
-def _polygcd(a, b, p):
-    a, b = _trim([x % p for x in a]), _trim([x % p for x in b])
-    while b:
-        a, b = b, _polyrem(a, b, p)
-    return a
-
-
-def _powmod_x(e: int, f, p):
-    """x^e mod f by square and multiply on coefficient lists."""
-    result = [1]
-    base = _polyrem([0, 1], f, p)
-    while e:
-        if e & 1:
-            result = _polymulmod(result, base, f, p)
-        base = _polymulmod(base, base, f, p)
-        e >>= 1
-    return result
-
-
-def _is_irreducible(f: list[int], p: int) -> bool:
-    s = len(f) - 1
-    if s < 1:
-        return False
-    if s == 1:
-        return True
-    # x^(p^s) = x mod f, and x^(p^(s/l)) - x coprime to f for prime l | s
-    xq = _powmod_x(p**s, f, p)
-    if _trim(list(xq)) != [0, 1]:
-        return False
-    for ell in prime_divisors(s):
-        g = _powmod_x(p ** (s // ell), f, p)
-        g = g + [0] * (2 - len(g))
-        g[1] = (g[1] - 1) % p
-        if len(_polygcd(_trim(g), f, p)) > 1:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # field descriptor and elements
 # ---------------------------------------------------------------------------
 
 _POWER_TABLE_BOUND = 1 << 16
+# characteristics from here on would overflow the kernel's exact arithmetic
+_P_BOUND = 1 << 25
 
 _field_cache: dict[tuple, "FieldDesc"] = {}
 
@@ -126,6 +58,8 @@ def make_field(p: int, s: int, modulus=None) -> "FieldDesc":
     """
     if p == 2:
         raise UnsupportedCharacteristicError("characteristic 2 is not supported")
+    if p >= _P_BOUND:  # checked first: is_prime is trial division
+        raise FieldConstructionError(f"characteristic {p} is not below 2^25")
     if not is_prime(p):
         raise FieldConstructionError(f"{p} is not prime")
     if s < 1:
@@ -143,32 +77,32 @@ def make_field(p: int, s: int, modulus=None) -> "FieldDesc":
     cached = _field_cache.get(key)
     if cached is not None:
         return cached
-    if not _is_irreducible(list(mod), p):
+    if s > 1 and not _modulus_is_irreducible(mod, p):
         raise FieldConstructionError(f"modulus {list(mod)} is reducible over F_{p}")
     field = FieldDesc(p, s, mod)
     _field_cache[key] = field
     return field
 
 
+def _modulus_is_irreducible(mod, p: int) -> bool:
+    block = np.array(mod, dtype=np.int64).reshape(-1, 1)
+    return _gfkernel.is_irreducible(block, make_field(p, 1))
+
+
 def _default_modulus(p: int, s: int) -> list[int]:
     if s == 1:
         return [0, 1]
-    for tail in itertools.product(range(p), repeat=s):
-        if tail[0] == 0:
-            continue  # divisible by X
-        cand = list(tail) + [1]
-        if any(_polyeval(cand, a, p) == 0 for a in range(p)):
-            continue  # has a root in F_p
-        if _is_irreducible(cand, p):
+    # codes below p^(s-1) have constant term 0 (divisible by X); the rest
+    # run through the tails in low-degree-first lexicographic order
+    for code in range(p ** (s - 1), p**s):
+        cand = [1]
+        for _ in range(s):
+            code, digit = divmod(code, p)
+            cand.append(digit)
+        cand.reverse()
+        if _modulus_is_irreducible(cand, p):
             return cand
     raise FieldConstructionError(f"no irreducible of degree {s} over F_{p}")
-
-
-def _polyeval(c, a, p):
-    acc = 0
-    for coef in reversed(c):
-        acc = (acc * a + coef) % p
-    return acc
 
 
 class FieldDesc:
@@ -323,7 +257,10 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        return self ** (self.field.order - 2)
+        f = self.field
+        if f.s == 1:
+            return FieldElement(f, (pow(self.coeffs[0], -1, f.p),))
+        return self ** (f.order - 2)
 
     def __truediv__(self, other):
         self._check(other)

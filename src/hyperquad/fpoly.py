@@ -87,9 +87,10 @@ class Poly:
 
     @classmethod
     def from_block(cls, field: FieldDesc, block: np.ndarray) -> "Poly":
+        """Wrap a normal-form kernel block (see _gfkernel) without copying it."""
         self = cls.__new__(cls)
         self.field = field
-        self._block = k.trim(np.asarray(block, dtype=np.int64) % field.p)
+        self._block = block
         self._q = None
         return self
 
@@ -384,28 +385,10 @@ def factor(f: Poly) -> FactorMultiset:
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Rabin test: x^(p^(s*d)) = x mod f plus proper-subfield gcd checks."""
-    field = f.field
-    if not _is_gf(field):
+    """Rabin test over the coefficient field (see _gfkernel.is_irreducible)."""
+    if not _is_gf(f.field):
         raise TypeError("irreducibility test needs finite-field coefficients")
-    d = f.degree()
-    if d < 1:
-        return False
-    if d == 1:
-        return True
-    q = field.order
-    fb = f.block()
-    x = k.zeros(field, 2)
-    x[1, 0] = 1
-    xq = k.powmod(x, q**d, fb, field)
-    if not (k.sub(xq, x, field).shape[0] == 0):
-        return False
-    for ell in {d // e for e in prime_divisors(d)}:
-        g = k.powmod(x, q**ell, fb, field)
-        g = k.sub(g, x, field)
-        if k.gcd_block(g, fb, field).shape[0] > 1:
-            return False
-    return True
+    return k.is_irreducible(f.block(), f.field)
 
 
 def _mobius(n: int) -> int:

@@ -178,3 +178,15 @@ def test_larger_field_without_table_formats_vectors():
     text = format_element(x)
     assert "," in text
     assert parse_element(field, text) == x
+
+
+def test_default_moduli_are_the_least_irreducibles():
+    # low-degree-first lexicographic order over monics with nonzero constant
+    assert make_field(3, 4).modulus == (1, 0, 1, 1, 1)
+    assert make_field(5, 2).modulus == (1, 1, 1)
+    assert make_field(13, 2).modulus == (1, 3, 1)
+
+
+def test_default_modulus_at_a_large_characteristic():
+    # the search never enumerates the p elements of F_p
+    assert make_field(33554393, 3).modulus == (1, 0, 4, 1)

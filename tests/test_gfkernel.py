@@ -4,14 +4,17 @@
 convolution, directly or by FFT.  The references here are loops: a
 pure-Python schoolbook product, and for the largest shapes the former
 kernel's column-by-column convolution, itself checked against the
-schoolbook on smaller shapes.
+schoolbook on smaller shapes.  The kernel's other functions are checked
+to return normal-form blocks, and its Rabin test against trial division.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 
 from hyperquad import _gfkernel as k
-from hyperquad.ffield import FieldElement, frobenius, make_field
+from hyperquad.ffield import FieldConstructionError, FieldElement, frobenius, make_field
 
 PRIMES = (3, 7, 13)
 DEGREES = (1, 2, 3)
@@ -253,3 +256,114 @@ def test_powmod_squares_only_below_the_top_bit(e, monkeypatch):
     monkeypatch.setattr(k, "mulmod", counted)
     k.powmod(a, e, f, field)
     assert len(calls) == (e.bit_length() - 1) + bin(e).count("1")
+
+
+def is_normal(block, field):
+    """Entries in [0, p), s columns, and a nonzero top row unless empty."""
+    return (
+        block.dtype == np.int64
+        and block.ndim == 2
+        and block.shape[1] == field.s
+        and bool(((block >= 0) & (block < field.p)).all())
+        and (block.shape[0] == 0 or bool(block[-1].any()))
+    )
+
+
+def normal_block(field, n, seed):
+    """A random normal-form block of n rows, with some zero rows inside."""
+    rng = np.random.default_rng(seed)
+    b = rng.integers(0, field.p, size=(n, field.s), dtype=np.int64)
+    b[rng.random(n) < 0.3] = 0
+    b[-1] = rng.integers(0, field.p, size=field.s)
+    b[-1, 0] = rng.integers(1, field.p)
+    return b
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("s", DEGREES)
+def test_kernel_returns_normal_form(p, s):
+    field = make_field(p, s)
+    f = _monic_modulus(field, 4, p * s)
+    for seed in range(6):
+        a = normal_block(field, 3 + 4 * seed, seed)
+        b = normal_block(field, 1 + 2 * seed, seed + 100)
+        c = normal_block(field, 1, seed + 200)[0]
+        ab = k.mul(a, b, field)
+        q, r = k.divmod_block(a, b, field)
+        q_ab, r_ab = k.divmod_block(ab, b, field)
+        outs = [
+            k.add(a, b, field),
+            k.add(a, k.neg(a, field), field),
+            k.sub(a, b, field),
+            k.sub(a, a, field),
+            k.neg(a, field),
+            ab,
+            k.scalar_mul(a, c, field),
+            k.scalar_mul(a, k.zeros(field, 1)[0], field),
+            q,
+            r,
+            q_ab,
+            r_ab,
+            k.gcd_block(a, b, field),
+            k.gcd_block(ab, k.mul(a, a, field), field),
+            k.monic(a, field),
+            k.powmod(a, 2 * p + seed, f, field),
+        ]
+        for i, out in enumerate(outs):
+            assert is_normal(out, field), (seed, i)
+        # a = q b + r with deg r < deg b, and b divides ab exactly
+        assert r.shape[0] < b.shape[0]
+        assert np.array_equal(k.add(k.mul(q, b, field), r, field), a)
+        assert np.array_equal(q_ab, a) and r_ab.shape[0] == 0
+        assert outs[1].shape[0] == 0 and outs[3].shape[0] == 0
+
+
+def _monics(field, d):
+    """Every monic polynomial of degree d over field, as FieldElement lists."""
+    elements = list(field.elements())
+    for tail in itertools.product(elements, repeat=d):
+        yield list(tail) + [field.one]
+
+
+def _divides(g, f):
+    """Whether the monic g divides f, by schoolbook division on elements."""
+    r = list(f)
+    dg = len(g) - 1
+    for i in range(len(r) - 1, dg - 1, -1):
+        c = r[i]
+        if not c.is_zero():
+            for j in range(dg + 1):
+                r[i - dg + j] = r[i - dg + j] - c * g[j]
+    return all(x.is_zero() for x in r)
+
+
+@pytest.mark.parametrize("p, s, max_d", [(3, 1, 4), (5, 1, 3), (3, 2, 2)])
+def test_is_irreducible_matches_trial_division(p, s, max_d):
+    field = make_field(p, s)
+    for d in range(max_d + 1):
+        divisors = [g for e in range(1, d // 2 + 1) for g in _monics(field, e)]
+        for f in _monics(field, d):
+            want = d >= 1 and not any(_divides(g, f) for g in divisors)
+            block = np.array([c.coeffs for c in f], dtype=np.int64)
+            assert k.is_irreducible(block, field) == want, [c.coeffs for c in f]
+
+
+# the largest prime below 2^25, the characteristic bound of make_field
+P_LARGE = 33554393
+
+
+@pytest.mark.parametrize("s", (1, 2))
+def test_mul_exact_at_the_largest_characteristic(s, fft_spy):
+    field = make_field(P_LARGE, s)
+    a, b = blocks(field, 300, 300, seed=s)
+    assert np.array_equal(k.mul(a, b, field), schoolbook(a, b, field))
+    assert fft_spy == []
+
+
+def test_make_field_rejects_characteristics_from_2_pow_25():
+    assert make_field(P_LARGE, 1).p == P_LARGE
+    # 33554467 is the first prime above 2^25; 2^31 - 1 overflows int64
+    # products; 2^61 - 1 is rejected before a trial-division primality test
+    for p in (33554467, 2147483647, 2**61 - 1):
+        with pytest.raises(FieldConstructionError):
+            make_field(p, 1)
