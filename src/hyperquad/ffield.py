@@ -6,18 +6,28 @@ where u is the residue class of the modulus variable.  Display prefers the
 power notation "u^k" / "-u^k" whenever the field is small enough to carry a
 power table of u; everything else falls back to comma-separated coordinates.
 
+Element arithmetic in F_p is integer arithmetic mod p.  In F_{p^s} with
+s > 1 and at most 2^16 elements it is exact table lookup: each such field
+carries, built on first use, the powers g^k of one primitive element g (u
+itself when u has order q - 1) and the inverse map from an element to its
+exponent k, so a product adds two exponents, an inverse negates one and a
+power multiplies one.  Larger fields use the coordinate product in the
+basis, and powers and inverses by repeated squaring.
+
 Odd characteristic p < 2^25 only: below that bound (p-1)^2 < 2^50, and
 the dense kernel's exact products stay inside int64.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 
 import numpy as np
 
 from . import _gfkernel
-from .exactq import is_prime
+from .exactq import is_prime, prime_divisors
 
 
 class FieldConstructionError(ValueError):
@@ -41,6 +51,7 @@ class FieldParseError(ValueError):
 # field descriptor and elements
 # ---------------------------------------------------------------------------
 
+# fields with s > 1 and at most this many elements carry power tables
 _POWER_TABLE_BOUND = 1 << 16
 # characteristics from here on would overflow the kernel's exact arithmetic
 _P_BOUND = 1 << 25
@@ -126,9 +137,6 @@ class FieldDesc:
         self._frob_matrices: dict[int, np.ndarray] = {}
         self.zero = FieldElement(self, (0,) * s)
         self.one = FieldElement(self, (1,) + (0,) * (s - 1))
-        self._log_table = None
-        if s > 1 and self.order <= _POWER_TABLE_BOUND:
-            self._log_table = self._build_log_table()
 
     def _build_reduction(self):
         p, s = self.p, self.s
@@ -144,16 +152,78 @@ class FieldDesc:
                     cur[j] = (cur[j] - carry * self.modulus[j]) % p
         return rows
 
-    def _build_log_table(self):
-        table = {}
-        x = self.one
-        u = self.u
-        for k in range(self.order - 1):
-            if x.coeffs in table:
-                break
-            table[x.coeffs] = k
-            x = x * u
-        return table
+    def _coord_mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        """Coordinate tuple of a*b, by the schoolbook product in the basis."""
+        p, s = self.p, self.s
+        raw = [0] * (2 * s - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    raw[i + j] = (raw[i + j] + x * y) % p
+        out = [0] * s
+        for j, c in enumerate(raw):
+            if c:
+                row = self._upow_reduction[j]
+                for t in range(s):
+                    out[t] = (out[t] + c * row[t]) % p
+        return tuple(out)
+
+    def _coord_pow(self, c: tuple[int, ...], e: int) -> tuple[int, ...]:
+        """Coordinate tuple of c^e for e >= 0, by repeated squaring."""
+        result = self.one.coeffs
+        while e:
+            if e & 1:
+                result = self._coord_mul(result, c)
+            e >>= 1
+            if e:
+                c = self._coord_mul(c, c)
+        return result
+
+    @functools.cached_property
+    def _exp(self) -> list[tuple[int, ...]] | None:
+        """Coordinate tuples of g^k for k < 2(q-1), g primitive.
+
+        Stored twice over so that a product indexes it by the sum of two
+        exponents without a reduction.  None when s = 1 or the field has
+        more than _POWER_TABLE_BOUND elements.
+        """
+        if self.s == 1 or self.order > _POWER_TABLE_BOUND:
+            return None
+        n = self.order - 1
+        one = self.one.coeffs
+        divisors = prime_divisors(n)
+
+        def primitive(c):
+            return any(c) and all(self._coord_pow(c, n // r) != one for r in divisors)
+
+        u = self.u.coeffs
+        g = u if primitive(u) else next(x.coeffs for x in self.elements() if primitive(x.coeffs))
+        # rows g^k, k < len(rows), doubled through the matrix of g^len(rows)
+        p = self.p
+        rows = np.array([one], dtype=np.int64)
+        step = np.array(g, dtype=np.int64)
+        while rows.shape[0] < n:
+            m = _gfkernel.mult_matrix(self, step)
+            rows = np.concatenate([rows, rows @ m.T % p])
+            step = m @ step % p
+        powers = list(map(tuple, rows[:n].tolist()))
+        return powers + powers
+
+    @functools.cached_property
+    def _log(self) -> dict[tuple[int, ...], int] | None:
+        """Exponent k of each nonzero coordinate tuple g^k, k < q - 1."""
+        if self._exp is None:
+            return None
+        return {c: k for k, c in enumerate(self._exp[: self.order - 1])}
+
+    @functools.cached_property
+    def _log_table(self) -> dict[tuple[int, ...], int] | None:
+        """Display table u^k -> k over the powers of u, read off the g-powers."""
+        if self._exp is None:
+            return None
+        n = self.order - 1
+        a = self._log[self.u.coeffs]
+        return {self._exp[a * k % n]: k for k in range(n // math.gcd(a, n))}
 
     def frobenius_matrix(self, t: int) -> np.ndarray:
         """F_p-linear matrix of c -> c^(p^t) in the u-power basis."""
@@ -238,21 +308,16 @@ class FieldElement:
     def __mul__(self, other):
         self._check(other)
         f = self.field
-        p, s = f.p, f.s
-        if s == 1:
-            return FieldElement(f, (self.coeffs[0] * other.coeffs[0] % p,))
-        raw = [0] * (2 * s - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    raw[i + j] = (raw[i + j] + a * b) % p
-        out = [0] * s
-        for j, c in enumerate(raw):
-            if c:
-                row = f._upow_reduction[j]
-                for t in range(s):
-                    out[t] = (out[t] + c * row[t]) % p
-        return FieldElement(f, tuple(out))
+        if f.s == 1:
+            return FieldElement(f, (self.coeffs[0] * other.coeffs[0] % f.p,))
+        log = f._log
+        if log is None:
+            return FieldElement(f, f._coord_mul(self.coeffs, other.coeffs))
+        i = log.get(self.coeffs)
+        j = log.get(other.coeffs)
+        if i is None or j is None:  # zero has no logarithm
+            return f.zero
+        return FieldElement(f, f._exp[i + j])
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():
@@ -260,23 +325,30 @@ class FieldElement:
         f = self.field
         if f.s == 1:
             return FieldElement(f, (pow(self.coeffs[0], -1, f.p),))
-        return self ** (f.order - 2)
+        log = f._log
+        if log is None:
+            return FieldElement(f, f._coord_pow(self.coeffs, f.order - 2))
+        return FieldElement(f, f._exp[f.order - 1 - log[self.coeffs]])
 
     def __truediv__(self, other):
         self._check(other)
         return self * other.inverse()
 
     def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = self.field.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        f = self.field
+        if e < 0 and self.is_zero():
+            raise ZeroDivisionError("inverse of zero field element")
+        if f.s == 1:
+            return FieldElement(f, (pow(self.coeffs[0], e, f.p),))
+        log = f._log
+        if log is None:
+            if e < 0:
+                return self.inverse() ** (-e)
+            return FieldElement(f, f._coord_pow(self.coeffs, e))
+        k = log.get(self.coeffs)
+        if k is None:  # 0^0 = 1, 0^e = 0 for e > 0
+            return f.zero if e else f.one
+        return FieldElement(f, f._exp[k * e % (f.order - 1)])
 
     def __eq__(self, other):
         return (
@@ -322,13 +394,10 @@ def embed(field: FieldDesc, c: FieldElement) -> FieldElement:
 
 
 def frobenius(x: FieldElement, t: int) -> FieldElement:
-    """x^(p^t), by repeated p-th powering."""
+    """x^(p^t), which depends on t mod s only."""
     if t < 1:
         raise ValueError("Frobenius exponent must be positive")
-    p = x.field.p
-    for _ in range(t % x.field.s):
-        x = x**p
-    return x
+    return x ** (x.field.p ** (t % x.field.s))
 
 
 def frobenius_inverse(x: FieldElement, t: int) -> FieldElement:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -190,3 +191,128 @@ def test_default_moduli_are_the_least_irreducibles():
 def test_default_modulus_at_a_large_characteristic():
     # the search never enumerates the p elements of F_p
     assert make_field(33554393, 3).modulus == (1, 0, 4, 1)
+
+
+# ---------------------------------------------------------------------------
+# table arithmetic against the coordinate product
+# ---------------------------------------------------------------------------
+
+
+def ref_mul(field, a, b):
+    """Schoolbook product of coordinate tuples, reduced by the modulus."""
+    p, s = field.p, field.s
+    raw = [0] * (2 * s - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            raw[i + j] = (raw[i + j] + x * y) % p
+    # the modulus is monic: u^s = -(m_0 + ... + m_{s-1} u^{s-1})
+    for top in range(2 * s - 2, s - 1, -1):
+        c = raw[top]
+        raw[top] = 0
+        for j in range(s):
+            raw[top - s + j] = (raw[top - s + j] - c * field.modulus[j]) % p
+    return tuple(raw[:s])
+
+
+def ref_pow(field, a, e):
+    """a^e by repeated squaring on ref_mul; e < 0 through Fermat's inverse."""
+    if e < 0:
+        a = ref_pow(field, a, field.order - 2)
+        e = -e
+    result = field.one.coeffs
+    for bit in bin(e)[2:]:
+        result = ref_mul(field, result, result)
+        if bit == "1":
+            result = ref_mul(field, result, a)
+    return result
+
+
+# F_9 under two moduli (u is not primitive under X^2 + 1), then the default
+# moduli of F_25 and F_49 (u is not primitive either), the F_27 preset and
+# the defaults of F_125, F_343 and F_81; with the sha256 of the display text
+# of every element, in elements() order, recorded before the tables existed
+TABLE_FIELDS = [
+    ((3, 2, (2, 2, 1)), "a833f39230e04a1d922099beedbbacbd09b34ad3ef1f0563c80d1f247dfa66fb"),
+    ((3, 2, (1, 0, 1)), "38083083b260bdc291bfcaf0a10274a20f8cb4e181a8b080eef917c5fafa7c02"),
+    ((5, 2, None), "33c94f7630e42f5f1b8134b326db67e2a5c28388031a78162769a93ebe9e88a3"),
+    (None, "083657c8d89f0286f032c50e7132b3c95b31a450365a5884562f1a747b49389f"),
+    ((7, 2, None), "5e2b3d8842c4f75e127e3c493d5cafb23df9647c26df2694e8ea91523ffdd7c8"),
+    ((5, 3, None), "b6b82b03f8e08818b085011673d36c2ab59189b4b6b989914ca0ee4ec5d15af6"),
+    ((7, 3, None), "ef4a949bf7790fc2091deca87a81f326fa5bd05b06f268ea075aeba71f7fb2e9"),
+    ((3, 4, None), "2c4057b70b5a00f03afd0c7ebd765b296ade3c6901a1be1d02c075035bd9b3f5"),
+]
+
+
+def _table_field(spec):
+    return f27_preset() if spec is None else make_field(*spec)
+
+
+def _pairs(field, seed):
+    elements = list(field.elements())
+    if field.order**2 <= 10**5:
+        return [(x, y) for x in elements for y in elements]
+    rng = random.Random(seed)
+    return [(rng.choice(elements), rng.choice(elements)) for _ in range(3000)]
+
+
+@pytest.mark.parametrize("spec", [spec for spec, _ in TABLE_FIELDS])
+def test_table_arithmetic_matches_coordinate_product(spec):
+    field = _table_field(spec)
+    assert field._log is not None and len(field._log) == field.order - 1
+    for x, y in _pairs(field, field.order):
+        assert (x * y).coeffs == ref_mul(field, x.coeffs, y.coeffs)
+    p, q = field.p, field.order
+    for x in field.elements():
+        for e in (0, 1, 2, p, q - 1, q, -1, -5, 12345):
+            if x.is_zero() and e < 0:
+                continue
+            assert (x**e).coeffs == ref_pow(field, x.coeffs, e), (x.coeffs, e)
+        if not x.is_zero():
+            assert x.inverse().coeffs == ref_pow(field, x.coeffs, q - 2)
+
+
+@pytest.mark.parametrize("spec, digest", TABLE_FIELDS)
+def test_display_text_is_unchanged(spec, digest):
+    field = _table_field(spec)
+    texts = [format_element(x) for x in field.elements()]
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == digest
+
+
+def test_display_text_of_f9():
+    primitive_u = make_field(3, 2, (2, 2, 1))
+    assert [format_element(x) for x in primitive_u.elements()] == [
+        "0", "u", "-u", "1", "u^2", "u^3", "-1", "-u^3", "-u^2",
+    ]
+    # u has order 4 under X^2 + 1, so four elements are not signed u-powers
+    order_4_u = make_field(3, 2, (1, 0, 1))
+    assert [format_element(x) for x in order_4_u.elements()] == [
+        "0", "u", "-u", "1", "1,1", "1,2", "-1", "2,1", "2,2",
+    ]
+
+
+@pytest.mark.parametrize("p, s", [(5, 1), (3, 2), (257, 2)])
+def test_zero_powers(p, s):
+    field = make_field(p, s)
+    assert field.zero**0 == field.one
+    assert field.zero**3 == field.zero
+    with pytest.raises(ZeroDivisionError):
+        _ = field.zero ** -1
+    with pytest.raises(ZeroDivisionError):
+        field.zero.inverse()
+
+
+def test_field_above_the_table_bound_uses_the_coordinate_product():
+    # 257^2 = 66049 > 2^16
+    field = make_field(257, 2)
+    assert field._log is None and field._log_table is None
+    rng = random.Random(257)
+    for _ in range(300):
+        a = tuple(rng.randrange(257) for _ in range(2))
+        b = tuple(rng.randrange(257) for _ in range(2))
+        x, y = field.el(a), field.el(b)
+        assert (x * y).coeffs == ref_mul(field, a, b)
+        for e in (0, 1, 2, 257, 12345, -1, -5):
+            if any(a) or e >= 0:
+                assert (x**e).coeffs == ref_pow(field, a, e)
+        if any(a):
+            assert x * x.inverse() == field.one

@@ -367,3 +367,53 @@ def test_make_field_rejects_characteristics_from_2_pow_25():
     for p in (33554467, 2147483647, 2**61 - 1):
         with pytest.raises(FieldConstructionError):
             make_field(p, 1)
+
+
+@pytest.mark.parametrize("p, max_d", [(3, 4), (5, 3)])
+def test_is_irreducible_makes_at_most_d_powmod_calls(p, max_d, monkeypatch):
+    field = make_field(p, 1)
+    calls = []
+    real = k.powmod
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(k, "powmod", counted)
+    for d in range(2, max_d + 1):
+        for f in _monics(field, d):
+            block = np.array([c.coeffs for c in f], dtype=np.int64)
+            calls.clear()
+            k.is_irreducible(block, field)
+            assert len(calls) <= d, [c.coeffs for c in f]
+            has_root = any(
+                sum((c * x**i for i, c in enumerate(f)), field.zero).is_zero()
+                for x in field.elements()
+            )
+            if d == 3 and has_root:
+                assert len(calls) == 1, [c.coeffs for c in f]
+
+
+def trim_loop(b):
+    """Drop zero top rows one at a time (the reference for trim)."""
+    n = b.shape[0]
+    while n > 0 and not b[n - 1].any():
+        n -= 1
+    return b[:n]
+
+
+@pytest.mark.parametrize("s", DEGREES)
+def test_trim_matches_row_loop(s):
+    rng = np.random.default_rng(s)
+    cases = [np.zeros((0, s), dtype=np.int64), np.zeros((5, s), dtype=np.int64)]
+    for n in (1, 2, 7, 40):
+        for zero_top in (0, 1, n - 1, n):
+            b = rng.integers(0, 3, size=(n, s), dtype=np.int64)
+            b[rng.random(n) < 0.4] = 0
+            if n - zero_top > 0:
+                b[n - zero_top - 1, 0] = 1
+            b[n - zero_top :] = 0
+            cases.append(b)
+    for b in cases:
+        got = k.trim(b)
+        assert got.shape == trim_loop(b).shape and np.array_equal(got, trim_loop(b))
