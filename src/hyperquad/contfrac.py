@@ -1,17 +1,21 @@
 """Continued-fraction mechanics: quotient extraction, continuants, brackets.
 
-Partial quotients come out exactly as Euclid produces them (leading units and
-all); nothing is normalized, because downstream comparisons are
-coefficient-exact.  A quotient extracted from a truncated series counts as
-confirmed only when the tracked precision provably pins it down: quotient n
-is kept iff 2*deg(y_n) < -floor, the classical perturbation threshold.
+Records store the partial quotients only.  Partial quotients come out exactly
+as Euclid produces them (leading units and all); nothing is normalized,
+because downstream comparisons are coefficient-exact.  The continuants
+x_n, y_n are derived from the quotients on first access and cached, so the
+expansion engines never build them.  A quotient extracted from a truncated
+series counts as confirmed only when the tracked precision provably pins it
+down: quotient n is kept iff 2*deg(y_n) < -floor, the classical
+perturbation threshold.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cached_property
 
 from .fpoly import Poly, format_poly
 from .laurent import LaurentSeries
@@ -23,18 +27,41 @@ class UndefinedBracketError(ArithmeticError):
 
 @dataclass
 class ExpansionRecord:
-    """Quotients a_1..a_N with both continuant families from index 0."""
+    """Quotients a_1..a_N; the continuants from index 0 are derived on demand.
+
+    numerators (x_0..x_N) and denominators (y_0..y_N) are computed from the
+    quotients the first time either is read, once per record, and cached.
+    """
 
     field: object
     quotients: list  # of Poly
-    numerators: list  # x_0, x_1, ..., x_N
-    denominators: list  # y_0, y_1, ..., y_N
     provenance: str  # direct | predicted | rational
     confirmed: int
     status: str  # complete | rational | precision-exhausted
 
     def __len__(self):
         return len(self.quotients)
+
+    @cached_property
+    def _continuants(self) -> tuple[list, list]:
+        # x_n = a_n x_(n-1) + x_(n-2) from x_(-1) = 0, x_0 = 1; y alike from
+        # y_(-1) = 1, y_0 = 0
+        zero, one = Poly.zero(self.field), Poly.one(self.field)
+        xs, ys = [zero, one], [one, zero]
+        for a in self.quotients:
+            xs.append(a * xs[-1] + xs[-2])
+            ys.append(a * ys[-1] + ys[-2])
+        return xs[1:], ys[1:]
+
+    @property
+    def numerators(self) -> list:
+        """x_0, x_1, ..., x_N."""
+        return self._continuants[0]
+
+    @property
+    def denominators(self) -> list:
+        """y_0, y_1, ..., y_N."""
+        return self._continuants[1]
 
     def convergent(self, n: int):
         """(x_n, y_n); n from 0."""
@@ -66,146 +93,84 @@ class ExpansionRecord:
         }
 
 
-def _record_builder(field):
-    return {
-        "quotients": [],
-        "numerators": [Poly.one(field)],
-        "denominators": [Poly.zero(field)],
-    }
-
-
-def _push_quotient(state, a: Poly):
-    xs, ys = state["numerators"], state["denominators"]
-    state["quotients"].append(a)
-    if len(state["quotients"]) == 1:
-        xs.append(a)
-        ys.append(Poly.one(a.field))
-        return
-    xs.append(a * xs[-1] + xs[-2])
-    ys.append(a * ys[-1] + ys[-2])
+def _euclid(n: Poly, d: Poly, limit) -> tuple[list, bool]:
+    """Euclid's quotients of n/d, at most limit of them, and whether it ended."""
+    quotients = []
+    while not d.is_zero() and len(quotients) < limit:
+        q, r = divmod(n, d)
+        quotients.append(q)
+        n, d = d, r
+    return quotients, d.is_zero()
 
 
 def expand_rational(numer: Poly, denom: Poly) -> ExpansionRecord:
     """Finite Euclid expansion of numer/denom."""
     if denom.is_zero():
         raise ZeroDivisionError("expansion of x/0")
-    state = _record_builder(numer.field)
-    n, d = numer, denom
-    while not d.is_zero():
-        q, r = divmod(n, d)
-        _push_quotient(state, q)
-        n, d = d, r
+    quotients, _ = _euclid(numer, denom, math.inf)
     return ExpansionRecord(
         field=numer.field,
+        quotients=quotients,
         provenance="rational",
-        confirmed=len(state["quotients"]),
+        confirmed=len(quotients),
         status="complete",
-        **state,
     )
 
 
 def expand_series(alpha: LaurentSeries, n_max: int) -> ExpansionRecord:
-    """Extract up to n_max partial quotients from a truncated series."""
+    """Extract up to n_max partial quotients from a truncated series.
+
+    Quotient n is confirmed iff 2*deg(y_n) < -floor, with deg y_1 = 0 and
+    deg y_n = deg a_2 + ... + deg a_n.  That sum is exact: Euclid's quotients
+    after the first have degree >= 1, so a_n*y_(n-1) has higher degree than
+    y_(n-2) and no leading terms cancel in y_n = a_n*y_(n-1) + y_(n-2).
+    """
     field = alpha.field
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    state = _record_builder(field)
     if n_max == 0:
-        return ExpansionRecord(
-            field=field, provenance="direct", confirmed=0, status="complete", **state
-        )
+        return _direct(field, [], "complete")
     if alpha.is_exact_zero():
-        _push_quotient(state, Poly.zero(field))
-        return ExpansionRecord(
-            field=field, provenance="direct", confirmed=1, status="rational", **state
+        return _direct(field, [Poly.zero(field)], "rational")
+    if alpha.is_zero_at_precision() or (alpha.floor is not None and alpha.floor >= 0):
+        return _direct(field, [], "precision-exhausted")
+    # alpha * T^e is a polynomial: e = -floor puts a truncated value's known
+    # coefficients in degrees >= 1, and for an exact value e clears its
+    # negative exponents.  Euclid on (alpha * T^e, T^e) is Euclid on alpha.
+    low = alpha.top - alpha.block.shape[0] + 1
+    e = max(0, -low) if alpha.floor is None else -alpha.floor
+    num = Poly.from_block(field, alpha.block[::-1]).shifted(low + e)
+    quotients, ended = _euclid(num, Poly.monomial(field, e), n_max)
+    confirmed = len(quotients)
+    if alpha.floor is not None:
+        deg_y = itertools.accumulate((a.degree() for a in quotients[1:]), initial=0)
+        confirmed = next(
+            (n for n, d in enumerate(deg_y) if 2 * d >= -alpha.floor), confirmed
         )
-    if alpha.is_zero_at_precision():
-        return ExpansionRecord(
-            field=field,
-            provenance="direct",
-            confirmed=0,
-            status="precision-exhausted",
-            **state,
-        )
-    if alpha.floor is None:
-        # exact Laurent polynomial: a genuine rational expansion
-        low = alpha.top - alpha.block.shape[0] + 1
-        num = Poly.from_block(field, alpha.block[::-1])
-        if low >= 0:
-            num = num.shifted(low)
-            den = Poly.one(field)
-        else:
-            den = Poly.monomial(field, -low)
-        rec = expand_rational(num, den)
-        produced = len(rec.quotients)
-        return ExpansionRecord(
-            field=field,
-            quotients=rec.quotients[:n_max],
-            numerators=rec.numerators[: n_max + 1],
-            denominators=rec.denominators[: n_max + 1],
-            provenance="direct",
-            confirmed=min(produced, n_max),
-            status="rational" if produced <= n_max else "complete",
-        )
-    floor = alpha.floor
-    if floor >= 0:
-        return ExpansionRecord(
-            field=field,
-            provenance="direct",
-            confirmed=0,
-            status="precision-exhausted",
-            **state,
-        )
-    # alpha * T^(-floor): known coefficients as a polynomial (degrees >= 1),
-    # denominator T^(-floor); Euclid on this pair is Euclid on the truncation
-    m = alpha.block.shape[0]
-    nb = np.zeros((alpha.top - floor + 1, field.s), dtype=np.int64)
-    nb[alpha.top - floor - m + 1 : alpha.top - floor + 1] = alpha.block[::-1]
-    n = Poly.from_block(field, nb)
-    d = Poly.monomial(field, -floor)
-    terminated = False
-    while len(state["quotients"]) < n_max:
-        q, r = divmod(n, d)
-        _push_quotient(state, q)
-        n, d = d, r
-        if d.is_zero():
-            terminated = True
-            break
-    produced = len(state["quotients"])
-    confirmed = 0
-    for i in range(1, produced + 1):
-        if 2 * state["denominators"][i].degree() < -floor:
-            confirmed = i
-        else:
-            break
-    if confirmed == produced:
-        status = "rational" if terminated else "complete"
-        keep = produced
-    else:
-        status = "precision-exhausted"
-        keep = confirmed
+    if confirmed < len(quotients):
+        return _direct(field, quotients[:confirmed], "precision-exhausted")
+    return _direct(field, quotients, "rational" if ended else "complete")
+
+
+def _direct(field, quotients: list, status: str) -> ExpansionRecord:
     return ExpansionRecord(
         field=field,
-        quotients=state["quotients"][:keep],
-        numerators=state["numerators"][: keep + 1],
-        denominators=state["denominators"][: keep + 1],
+        quotients=quotients,
         provenance="direct",
-        confirmed=confirmed,
+        confirmed=len(quotients),
         status=status,
     )
 
 
 def predicted_record(field, quotients) -> ExpansionRecord:
-    """Assemble a record (with continuants) from externally supplied quotients."""
-    state = _record_builder(field)
-    for a in quotients:
-        _push_quotient(state, a)
+    """Wrap externally supplied quotients as a record."""
+    quotients = list(quotients)
     return ExpansionRecord(
         field=field,
+        quotients=quotients,
         provenance="predicted",
-        confirmed=len(state["quotients"]),
+        confirmed=len(quotients),
         status="complete",
-        **state,
     )
 
 

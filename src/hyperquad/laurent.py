@@ -54,20 +54,13 @@ class LaurentSeries:
             elif block.shape[0] < keep:
                 pad = np.zeros((keep - block.shape[0], field.s), dtype=np.int64)
                 block = np.vstack([block, pad])
-        lead = 0
-        while lead < block.shape[0] and not block[lead].any():
-            lead += 1
-        if lead:
-            block = block[lead:]
-            top = top - lead
-        if block.shape[0] == 0 or not block.any():
+        nonzero = np.flatnonzero(block.any(axis=1))
+        if nonzero.size == 0:
             return cls(field, None, _empty(field), floor)
-        if floor is None:
-            n = block.shape[0]
-            while n > 0 and not block[n - 1].any():
-                n -= 1
-            block = block[:n]
-        return cls(field, top, np.ascontiguousarray(block), floor)
+        lead = int(nonzero[0])
+        # an exact value also drops its zero rows at the low-exponent end
+        end = nonzero[-1] + 1 if floor is None else block.shape[0]
+        return cls(field, top - lead, np.ascontiguousarray(block[lead:end]), floor)
 
     @classmethod
     def zero(cls, field: FieldDesc, floor=None) -> "LaurentSeries":

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hyperquad import exactq
@@ -19,6 +20,7 @@ from hyperquad.laurent import LaurentSeries
 F3 = make_field(3, 1)
 F5 = make_field(5, 1)
 F27 = f27_preset()
+F9 = make_field(3, 2)
 
 
 def qq_poly(*coeffs):
@@ -195,3 +197,139 @@ def test_json_shape():
     d = rec.to_json_dict()
     assert set(d) == {"quotients", "provenance", "confirmed", "status"}
     assert d["quotients"] == ["T", "-T"]
+
+
+# -- continuants derived on demand ---------------------------------------------
+
+
+def _eager_continuants(field, quotients):
+    """The former eager recursion, kept as a reference: x, y from index 0."""
+    xs, ys = [Poly.one(field)], [Poly.zero(field)]
+    for n, a in enumerate(quotients):
+        if n == 0:
+            xs.append(a)
+            ys.append(Poly.one(field))
+        else:
+            xs.append(a * xs[-1] + xs[-2])
+            ys.append(a * ys[-1] + ys[-2])
+    return xs, ys
+
+
+def _random_poly(field, rng, length):
+    pool = list(field.elements())
+    return Poly(field, [rng.choice(pool) for _ in range(length)])
+
+
+def _random_truncated(field, rng):
+    top = rng.randint(-2, 3)
+    depth = rng.randint(1, 20)
+    pool = [c.coeffs for c in field.elements()]
+    rows = [field.one.coeffs] + [rng.choice(pool) for _ in range(depth - 1)]
+    return LaurentSeries.make(field, top, rows, top - depth)
+
+
+@pytest.mark.parametrize("field", [F3, F5, F9], ids=["F3", "F5", "F9"])
+def test_derived_continuants_match_eager_recursion(field):
+    rng = random.Random(field.p * 10 + field.s)
+    records = [predicted_record(field, [])]
+    for _ in range(15):
+        num = _random_poly(field, rng, rng.randint(1, 8))
+        den = _random_poly(field, rng, rng.randint(1, 6))
+        if den.is_zero():
+            continue
+        records.append(expand_rational(num, den))
+        records.append(expand_series(LaurentSeries.from_rational(num, den, floor=-10), 6))
+        records.append(expand_series(_random_truncated(field, rng), 8))
+        records.append(
+            predicted_record(field, [_random_poly(field, rng, 3) for _ in range(5)])
+        )
+    for rec in records:
+        xs, ys = _eager_continuants(field, rec.quotients)
+        assert rec.numerators == xs
+        assert rec.denominators == ys
+        # derived once and cached
+        assert rec.numerators is rec.numerators
+        assert rec.denominators is rec.denominators
+
+
+def test_records_hold_no_continuants_until_read():
+    rec = predicted_record(F3, [Poly(F3, [0, 1]), Poly(F3, [1, 1])])
+    assert "_continuants" not in vars(rec)
+    rec.to_json_dict()
+    rec.tail_shape_ok()
+    assert "_continuants" not in vars(rec)
+    assert rec.convergent(2) == (rec.numerators[2], rec.denominators[2])
+    assert "_continuants" in vars(rec)
+
+
+def test_engines_make_no_polynomial_products(monkeypatch):
+    truncated = LaurentSeries.from_rational(
+        Poly(F5, [1, 2, 0, 3, 1]), Poly(F5, [2, 0, 1]), floor=-9
+    )
+    # T^2 + T^-1 + 2 T^-3: an exact Laurent polynomial with several quotients
+    exact = LaurentSeries.make(F3, 2, [(1,), (0,), (0,), (1,), (0,), (2,)], None)
+    cases = [
+        (truncated, 10),
+        (_random_truncated(F9, random.Random(5)), 8),
+        (exact, 10),
+        (exact, 2),
+        (LaurentSeries.zero(F3), 3),
+        (truncated, 0),
+    ]
+    quotients = [Poly(F5, [0, 1]), Poly(F5, [2, 3]), Poly(F5, [1, 0, 4])]
+
+    def outcome(rec):
+        return rec.quotients, rec.confirmed, rec.status
+
+    want = [outcome(expand_series(alpha, n)) for alpha, n in cases]
+    want_pred = outcome(predicted_record(F5, quotients))
+    assert len(want[0][0]) > 1 and len(want[2][0]) > 1
+
+    def no_products(self, other):
+        raise AssertionError("Poly product on an expansion path")
+
+    monkeypatch.setattr(Poly, "__mul__", no_products)
+    assert [outcome(expand_series(alpha, n)) for alpha, n in cases] == want
+    assert outcome(predicted_record(F5, quotients)) == want_pred
+
+
+def _eager_expand_series(alpha, n_max):
+    """quotients, confirmed and status by the former rule on eager y_n degrees."""
+    field, floor = alpha.field, alpha.floor
+    m = alpha.block.shape[0]
+    nb = np.zeros((alpha.top - floor + 1, field.s), dtype=np.int64)
+    nb[alpha.top - floor - m + 1 :] = alpha.block[::-1]
+    n, d = Poly.from_block(field, nb), Poly.monomial(field, -floor)
+    quotients = []
+    while len(quotients) < n_max and not d.is_zero():
+        q, r = divmod(n, d)
+        quotients.append(q)
+        n, d = d, r
+    _, ys = _eager_continuants(field, quotients)
+    confirmed = 0
+    while confirmed < len(quotients) and 2 * ys[confirmed + 1].degree() < -floor:
+        confirmed += 1
+    if confirmed < len(quotients):
+        return quotients[:confirmed], confirmed, "precision-exhausted"
+    return quotients, confirmed, "rational" if d.is_zero() else "complete"
+
+
+@pytest.mark.parametrize("field", [F3, F5, F9], ids=["F3", "F5", "F9"])
+def test_confirmed_matches_eager_degree_rule(field):
+    rng = random.Random(41 + field.p * field.s)
+    statuses = []
+    for _ in range(60):
+        alpha = _random_truncated(field, rng)
+        if rng.random() < 0.3:
+            num = _random_poly(field, rng, rng.randint(1, 6))
+            den = _random_poly(field, rng, rng.randint(2, 4))
+            if num.is_zero() or den.degree() < 1:
+                continue
+            alpha = LaurentSeries.from_rational(num, den, floor=-rng.randint(4, 16))
+        n_max = rng.randint(1, 12)
+        rec = expand_series(alpha, n_max)
+        assert (rec.quotients, rec.confirmed, rec.status) == _eager_expand_series(
+            alpha, n_max
+        )
+        statuses.append(rec.status)
+    assert {"precision-exhausted", "complete"} <= set(statuses)

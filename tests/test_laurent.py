@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from hyperquad.ffield import f27_preset, frobenius, make_field
@@ -256,3 +257,64 @@ def test_deep_inverse_uses_fft_sizes():
     assert prod.coefficient(0) == F5.one
     for e in range(-1, -8990, -1):
         assert prod.coefficient(e) == F5.zero
+
+
+def _make_by_row_loops(field, top, block, floor):
+    """LaurentSeries.make's former row-by-row normalization, kept as a reference."""
+    block = np.asarray(block, dtype=np.int64) % field.p
+    if floor is not None and top is not None:
+        keep = top - floor
+        if keep <= 0:
+            return None, np.zeros((0, field.s), dtype=np.int64), floor
+        if block.shape[0] > keep:
+            block = block[:keep]
+        elif block.shape[0] < keep:
+            pad = np.zeros((keep - block.shape[0], field.s), dtype=np.int64)
+            block = np.vstack([block, pad])
+    lead = 0
+    while lead < block.shape[0] and not block[lead].any():
+        lead += 1
+    if lead:
+        block = block[lead:]
+        top = top - lead
+    if block.shape[0] == 0 or not block.any():
+        return None, np.zeros((0, field.s), dtype=np.int64), floor
+    if floor is None:
+        n = block.shape[0]
+        while n > 0 and not block[n - 1].any():
+            n -= 1
+        block = block[:n]
+    return top, block, floor
+
+
+@pytest.mark.parametrize("field", [F3, F27], ids=["F3", "F27"])
+def test_make_matches_row_loops(field):
+    rng = random.Random(29)
+    s = field.s
+    zero_row, one_row = [0] * s, [1] + [0] * (s - 1)
+
+    def rand_row():
+        return [rng.randrange(field.p) for _ in range(s)]
+
+    cases = [
+        (2, [zero_row] * 3, None),  # all zero, exact
+        (2, [zero_row] * 3, -4),  # all zero, truncated
+        (0, np.zeros((0, s), dtype=np.int64), None),  # no rows
+        (3, [zero_row, zero_row, one_row, rand_row()], None),  # leading zeros
+        (1, [one_row, rand_row(), zero_row, zero_row], None),  # trailing zeros
+        (1, [zero_row, one_row, zero_row, zero_row], None),  # both ends
+        (1, [zero_row, one_row, zero_row, zero_row], -5),  # truncated, padded
+        (4, [one_row, zero_row] * 4, 1),  # truncated, cut
+        (0, [one_row], 0),  # nothing known above the floor
+    ]
+    for _ in range(40):
+        rows = [rng.choice([zero_row, rand_row()]) for _ in range(rng.randint(0, 8))]
+        top = rng.randint(-3, 4)
+        floor = rng.choice([None, top - rng.randint(-1, 10)])
+        cases.append((top, np.array(rows, dtype=np.int64).reshape(-1, s), floor))
+    for top, rows, floor in cases:
+        got = LaurentSeries.make(field, top, rows, floor)
+        want_top, want_block, want_floor = _make_by_row_loops(field, top, rows, floor)
+        assert (got.top, got.floor) == (want_top, want_floor)
+        assert np.array_equal(got.block, want_block)
+        assert got.block.shape == (want_block.shape[0], s)
