@@ -1,14 +1,20 @@
 """Factor coverage of the iterated h-family orbit over a prime field.
 
 Starting from u_1 = x, each node u spawns the three children h_0(u),
-h_1(u), h_2(u) (the k = 1 family, so h_0 = 2x/(2x-1), h_1 = 4x/(1-4x^2)
-and h_2 = -2x/(2x+1) up to normalisation).  Every monic irreducible
-dividing a numerator or denominator along the way is collected, and
-the haul is compared against the full census of irreducibles whose
-degree is a power of two.  The inclusion (only power-of-two degrees
-show up) is proved; equality is the open question this explorer
-probes.  A numeric companion walks the same maps on finite-field
-elements, twisted by a Frobenius power, and records element degrees.
+h_1(u), h_2(u) of the k = 1 family, h_0 = x/(theta+x), h_1 =
+-2 theta x/(theta^2-x^2) and h_2 = x/(theta-x) with theta = -1/2.  With
+plus = theta b + a and minus = theta b - a, a reduced node a/b has the
+children a/plus, -2 theta ab/(plus minus) = ab/(plus minus) and a/minus,
+already reduced: gcd(a, theta b +- a) = gcd(b, theta b +- a) = 1, and
+gcd(plus, minus) divides 2 theta b and 2a, so it is 1 as p is odd and
+theta != 0.  The factors of a and b were recorded with the parent, so a
+node factors only plus and minus.  Every monic irreducible dividing a
+numerator or denominator along the way is collected, and the haul is
+compared against the full census of irreducibles whose degree is a
+power of two.  The inclusion (only power-of-two degrees show up) is
+proved; equality is the open question this explorer probes.  A numeric
+companion walks the same maps on finite-field elements, twisted by a
+Frobenius power, and records element degrees.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ from .seedpair import (
     UndefinedValueError,
     build_seedpair,
     eval_h,
-    h_fraction,
 )
 
 __all__ = [
@@ -49,15 +54,15 @@ DEFAULT_DEGREE_CAP = 4_096
 class OrbitLedger:
     """Frontier-only state of the breadth-first orbit walk.
 
-    Only the last generation of rational functions is kept (their
-    degrees roughly double per generation, so storing the whole tree
-    would sink the explorer); factors live in seen_factors with the
-    orbit index that first produced them.
+    Only the last generation of rational functions is kept: h_0 and h_2
+    keep a node's degree max(deg a, deg b) and h_1 doubles it, so the
+    whole tree would sink the explorer.  Factors live in seen_factors
+    with the orbit index that first produced them.
     """
 
     p: int
     field: FieldDesc
-    maps: list[tuple[Poly, Poly]]
+    theta: FieldElement
     frontier: dict[int, RationalFunction]
     seen_factors: dict[Poly, int]
     dropped: list[tuple[int, str]]
@@ -68,12 +73,11 @@ class OrbitLedger:
     truncated: bool
 
 
-def _record_factors(ledger: OrbitLedger, rf: RationalFunction, index: int) -> None:
-    for part in (rf.num, rf.den):
-        if part.degree() < 1:
-            continue
-        for irr, _mult in factor(part).factors:
-            ledger.seen_factors.setdefault(irr, index)
+def _record_factors(ledger: OrbitLedger, index: int, *parts: Poly) -> None:
+    for part in parts:
+        if part.degree() >= 1:
+            for irr, _mult in factor(part).factors:
+                ledger.seen_factors.setdefault(irr, index)
 
 
 def new_ledger(
@@ -85,6 +89,8 @@ def new_ledger(
     """Fresh ledger holding generation zero (u_1 = x unless overridden)."""
     if not is_prime(p) or p == 2:
         raise ValueError("the orbit lives over an odd prime field")
+    if budget < 1 or degree_cap < 1:
+        raise ValueError("budget and degree cap must be positive")
     pair = build_seedpair(p, 1, 1)
     field = pair.field
     if seed is None:
@@ -94,7 +100,7 @@ def new_ledger(
     ledger = OrbitLedger(
         p=p,
         field=field,
-        maps=[h_fraction(pair, i) for i in range(3)],
+        theta=pair.theta,
         frontier={1: seed},
         seen_factors={},
         dropped=[],
@@ -104,38 +110,20 @@ def new_ledger(
         degree_cap=degree_cap,
         truncated=False,
     )
-    _record_factors(ledger, seed, 1)
+    _record_factors(ledger, 1, seed.num, seed.den)
     return ledger
-
-
-def _compose(hnum: Poly, hden: Poly, num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    # h(num/den) cleared of denominators: substitute and homogenise by
-    # the larger of the two map degrees
-    D = max(hnum.degree(), hden.degree())
-    field = num.field
-    npow = [Poly.one(field)]
-    dpow = [Poly.one(field)]
-    for _ in range(D):
-        npow.append(npow[-1] * num)
-        dpow.append(dpow[-1] * den)
-
-    def clear(h: Poly) -> Poly:
-        acc = Poly.zero(field)
-        for j, c in enumerate(h.coeffs_list()):
-            if not c.is_zero():
-                acc = acc + (npow[j] * dpow[D - j]).scaled(c)
-        return acc
-
-    return clear(hnum), clear(hden)
 
 
 def step_orbit(ledger: OrbitLedger) -> OrbitLedger:
     """Advance one generation; budget exhaustion leaves depth unchanged.
 
-    Children of frontier node n get orbit indices 3n-1, 3n, 3n+1.  A
-    child whose denominator vanishes (pole) or that collapses to a
-    constant is logged in `dropped` and spawns nothing; a child beyond
-    the degree cap likewise, with the truncation flag raised.
+    Frontier node n = a/b gets the children a/plus, ab/(plus minus) and
+    a/minus of the module docstring at orbit indices 3n-1, 3n, 3n+1;
+    plus and minus are factored at most once each, at the first kept
+    child that contains them.  A child whose denominator vanishes
+    (pole) or that collapses to a constant is logged in `dropped` and
+    spawns nothing; a child beyond the degree cap likewise, with the
+    truncation flag raised.
     """
     demand = 3 * len(ledger.frontier)
     if ledger.nodes + demand > ledger.budget:
@@ -143,10 +131,17 @@ def step_orbit(ledger: OrbitLedger) -> OrbitLedger:
         return ledger
     nxt: dict[int, RationalFunction] = {}
     for n in sorted(ledger.frontier):
-        u = ledger.frontier[n]
-        for i, (hnum, hden) in enumerate(ledger.maps):
+        a, b = ledger.frontier[n].num, ledger.frontier[n].den
+        tb = b.scaled(ledger.theta)
+        plus, minus = tb + a, tb - a
+        fresh = {"plus": plus, "minus": minus}
+        children = (
+            (a, plus, ("plus",)),
+            (a * b, plus * minus, ("plus", "minus")),
+            (a, minus, ("minus",)),
+        )
+        for i, (num, den, holds) in enumerate(children):
             index = 3 * n - 1 + i
-            num, den = _compose(hnum, hden, u.num, u.den)
             if den.is_zero():
                 ledger.dropped.append((index, "pole"))
                 continue
@@ -158,7 +153,7 @@ def step_orbit(ledger: OrbitLedger) -> OrbitLedger:
                 ledger.dropped.append((index, "degree-cap"))
                 ledger.truncated = True
                 continue
-            _record_factors(ledger, rf, index)
+            _record_factors(ledger, index, *(fresh.pop(h) for h in holds if h in fresh))
             nxt[index] = rf
             ledger.nodes += 1
     ledger.frontier = nxt

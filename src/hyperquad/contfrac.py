@@ -36,10 +36,14 @@ class ExpansionRecord:
     field: object
     quotients: list  # of Poly
     provenance: str  # direct | predicted | rational
-    confirmed: int
     status: str  # complete | rational | precision-exhausted
 
     def __len__(self):
+        return len(self.quotients)
+
+    @property
+    def confirmed(self) -> int:
+        """Every stored quotient is confirmed; unconfirmed ones are never kept."""
         return len(self.quotients)
 
     @cached_property
@@ -112,7 +116,6 @@ def expand_rational(numer: Poly, denom: Poly) -> ExpansionRecord:
         field=numer.field,
         quotients=quotients,
         provenance="rational",
-        confirmed=len(quotients),
         status="complete",
     )
 
@@ -157,7 +160,6 @@ def _direct(field, quotients: list, status: str) -> ExpansionRecord:
         field=field,
         quotients=quotients,
         provenance="direct",
-        confirmed=len(quotients),
         status=status,
     )
 
@@ -169,7 +171,6 @@ def predicted_record(field, quotients) -> ExpansionRecord:
         field=field,
         quotients=quotients,
         provenance="predicted",
-        confirmed=len(quotients),
         status="complete",
     )
 

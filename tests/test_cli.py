@@ -60,6 +60,7 @@ def test_expand_worked_example(capsys):
     for piece in ["a_1 = T", "a_2 = u^7*T", "a_3 = u^2*T",
                   "a_4 = u^11*T", "a_5 = -u*T"]:
         assert piece in out
+    assert "status: complete, confirmed: 5" in out
 
 
 def test_verify_full_match_exit_zero(capsys):
@@ -204,6 +205,16 @@ def test_json_roundtrip_from_config_echo(capsys):
     a, b = json.loads(first), json.loads(second)
     a.pop("timestamp"), b.pop("timestamp")
     assert a == b
+
+
+@pytest.mark.parametrize("flag", ["--budget=-5", "--budget=0"])
+def test_conjecture_nonpositive_budget_usage_error(capsys, flag):
+    code, out, _ = run(
+        capsys,
+        ["conjecture", "--p", "3", "--depth", "4", "--max-log-degree", "2", flag],
+    )
+    assert code == 64
+    assert "truncated" not in out
 
 
 def test_conjecture_negative_depth_usage_error(capsys):

@@ -2,15 +2,18 @@
 
 import pytest
 
+from hyperquad import _gfkernel
 from hyperquad.conjecture import (
+    DEFAULT_BUDGET,
+    DEFAULT_DEGREE_CAP,
     general_k_orbit,
     new_ledger,
     run_conjecture,
     step_orbit,
 )
 from hyperquad.ffield import f27_preset, make_field
-from hyperquad.fpoly import Poly, RationalFunction
-from hyperquad.seedpair import build_seedpair
+from hyperquad.fpoly import Poly, RationalFunction, factor
+from hyperquad.seedpair import build_seedpair, h_fraction
 
 
 def _rf(field, num, den):
@@ -127,6 +130,21 @@ def test_degenerate_children_are_recorded_not_raised():
     assert led.depth == 1
 
 
+def test_ledger_rejects_nonpositive_budget_and_degree_cap():
+    for bad in (0, -5):
+        with pytest.raises(ValueError):
+            new_ledger(3, budget=bad)
+        with pytest.raises(ValueError):
+            new_ledger(3, degree_cap=bad)
+        with pytest.raises(ValueError):
+            run_conjecture(3, 3, 1, budget=bad)
+        with pytest.raises(ValueError):
+            run_conjecture(3, 3, 1, degree_cap=bad)
+    # the smallest legal values still run
+    assert run_conjecture(3, 3, 1, budget=1).nodes == 1
+    assert run_conjecture(3, 3, 1, degree_cap=1).nodes >= 1
+
+
 def test_ledger_rejects_bad_prime():
     with pytest.raises(ValueError):
         new_ledger(4)
@@ -139,6 +157,191 @@ def test_run_conjecture_rejects_negative_args():
         run_conjecture(3, -1, 2)
     with pytest.raises(ValueError):
         run_conjecture(3, 2, -1)
+
+
+# -- the closed-form walk against the former generic composition -------------
+
+
+def _compose(hnum, hden, num, den):
+    # the former walk: h(num/den) cleared of denominators by substituting
+    # and homogenising by the larger of the two map degrees
+    D = max(hnum.degree(), hden.degree())
+    field = num.field
+    npow = [Poly.one(field)]
+    dpow = [Poly.one(field)]
+    for _ in range(D):
+        npow.append(npow[-1] * num)
+        dpow.append(dpow[-1] * den)
+
+    def clear(h):
+        acc = Poly.zero(field)
+        for j, c in enumerate(h.coeffs_list()):
+            if not c.is_zero():
+                acc = acc + (npow[j] * dpow[D - j]).scaled(c)
+        return acc
+
+    return clear(hnum), clear(hden)
+
+
+def _full_ledger(seen, dropped, frontier, nodes, depth, truncated):
+    return (
+        list(seen.items()), list(dropped), list(frontier.items()),
+        nodes, depth, truncated,
+    )
+
+
+def _reference_walk(p, depth, seed, budget, degree_cap):
+    """Full ledger after each generation, by the former walk.
+
+    Every kept child is rebuilt by composing the map with the node and
+    reducing, and both its numerator and denominator are factored.
+    """
+    pair = build_seedpair(p, 1, 1)
+    maps = [h_fraction(pair, i) for i in range(3)]
+    seen, dropped = {}, []
+
+    def record(rf, index):
+        for part in (rf.num, rf.den):
+            if part.degree() >= 1:
+                for irr, _ in factor(part).factors:
+                    seen.setdefault(irr, index)
+
+    frontier, nodes, gen, truncated = {1: seed}, 1, 0, False
+    record(seed, 1)
+    history = []
+    for _ in range(depth):
+        if nodes + 3 * len(frontier) > budget:
+            truncated = True
+            history.append(_full_ledger(seen, dropped, frontier, nodes, gen, truncated))
+            break
+        nxt = {}
+        for n in sorted(frontier):
+            u = frontier[n]
+            for i, (hnum, hden) in enumerate(maps):
+                index = 3 * n - 1 + i
+                num, den = _compose(hnum, hden, u.num, u.den)
+                if den.is_zero():
+                    dropped.append((index, "pole"))
+                    continue
+                rf = RationalFunction(num, den)
+                if rf.num.degree() < 1 and rf.den.degree() < 1:
+                    dropped.append((index, "constant"))
+                    continue
+                if max(rf.num.degree(), rf.den.degree()) > degree_cap:
+                    dropped.append((index, "degree-cap"))
+                    truncated = True
+                    continue
+                record(rf, index)
+                nxt[index] = rf
+                nodes += 1
+        frontier, gen = nxt, gen + 1
+        history.append(_full_ledger(seen, dropped, frontier, nodes, gen, truncated))
+        if not frontier:
+            break
+    return history
+
+
+def _closed_form_walk(p, depth, seed, budget, degree_cap):
+    led = new_ledger(p, seed=seed, budget=budget, degree_cap=degree_cap)
+    history = []
+    for _ in range(depth):
+        before = led.depth
+        led = step_orbit(led)
+        history.append(
+            _full_ledger(
+                led.seen_factors, led.dropped, led.frontier,
+                led.nodes, led.depth, led.truncated,
+            )
+        )
+        if led.depth == before or not led.frontier:
+            break
+    return history
+
+
+_X = None  # marks the default seed u_1 = x
+
+WALK_CASES = [
+    # (p, depth, seed as (num, den) coefficient lists or _X, budget, degree_cap)
+    (3, 5, _X, DEFAULT_BUDGET, DEFAULT_DEGREE_CAP),
+    (5, 5, _X, DEFAULT_BUDGET, DEFAULT_DEGREE_CAP),
+    (7, 4, _X, DEFAULT_BUDGET, DEFAULT_DEGREE_CAP),
+    (11, 3, _X, DEFAULT_BUDGET, DEFAULT_DEGREE_CAP),
+    (3, 7, _X, DEFAULT_BUDGET, DEFAULT_DEGREE_CAP),
+    (5, 6, _X, DEFAULT_BUDGET, DEFAULT_DEGREE_CAP),
+    (3, 6, _X, DEFAULT_BUDGET, 4),
+    (5, 6, _X, 30, DEFAULT_DEGREE_CAP),
+    (7, 3, ([4], [1]), DEFAULT_BUDGET, DEFAULT_DEGREE_CAP),
+    (7, 3, ([3], [1]), DEFAULT_BUDGET, DEFAULT_DEGREE_CAP),
+    (5, 3, ([0], [1]), DEFAULT_BUDGET, DEFAULT_DEGREE_CAP),
+    (3, 5, ([1], [0, 1]), DEFAULT_BUDGET, DEFAULT_DEGREE_CAP),
+    (5, 4, ([0, 0, 1], [1, 1]), DEFAULT_BUDGET, DEFAULT_DEGREE_CAP),
+    (3, 4, ([1, 2, 0, 1], [2, 1]), DEFAULT_BUDGET, DEFAULT_DEGREE_CAP),
+    (13, 3, ([3, 1], [5, 0, 1]), DEFAULT_BUDGET, DEFAULT_DEGREE_CAP),
+    # a seed already beyond the cap drops all three children
+    (3, 3, ([1, 2, 0, 1], [2, 1]), DEFAULT_BUDGET, 2),
+]
+
+
+def _case_seed(p, seed):
+    if seed is _X:
+        return None
+    return _rf(make_field(p, 1), *seed)
+
+
+@pytest.mark.parametrize("p,depth,seed,budget,degree_cap", WALK_CASES)
+def test_closed_form_walk_matches_former_walk(p, depth, seed, budget, degree_cap):
+    start = _case_seed(p, seed)
+    reference_seed = start or _rf(make_field(p, 1), [0, 1], [1])
+    want = _reference_walk(p, depth, reference_seed, budget, degree_cap)
+    got = _closed_form_walk(p, depth, start, budget, degree_cap)
+    assert got == want
+
+
+def _degree(rf):
+    return max(rf.num.degree(), rf.den.degree())
+
+
+def test_walk_cases_drop_children_as_the_closed_form_predicts():
+    # h_0 and h_2 keep a node's degree d and h_1 doubles it; a pole or a
+    # constant at h_0 is one at h_1 too.  So the middle child is never
+    # kept without its h_0 sibling, which already recorded plus.
+    reasons = set()
+    for p, depth, seed, budget, degree_cap in WALK_CASES:
+        led = new_ledger(
+            p, seed=_case_seed(p, seed), budget=budget, degree_cap=degree_cap
+        )
+        for _ in range(min(depth, 5)):
+            parents, before = dict(led.frontier), led.depth
+            led = step_orbit(led)
+            if led.depth == before:
+                break  # budget exhausted
+            kept = led.frontier
+            for n, u in parents.items():
+                for i in (3 * n - 1, 3 * n + 1):
+                    if i in kept:
+                        assert _degree(kept[i]) == _degree(u)
+                if 3 * n in kept:
+                    assert 3 * n - 1 in kept
+                    assert _degree(kept[3 * n]) == 2 * _degree(u)
+        reasons |= {reason for _, reason in led.dropped}
+    assert reasons == {"pole", "constant", "degree-cap"}
+
+
+@pytest.mark.parametrize("p,depth", [(3, 5), (5, 4), (7, 3)])
+def test_at_most_two_factorizations_per_frontier_node(monkeypatch, p, depth):
+    calls = []
+    real = _gfkernel.factor
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(_gfkernel, "factor", counting)
+    led = new_ledger(p)
+    for _ in range(depth):
+        before, frontier = len(calls), len(led.frontier)
+        led = step_orbit(led)
+        assert len(calls) - before <= 2 * frontier
 
 
 # -- numeric companion -------------------------------------------------------
