@@ -335,29 +335,30 @@ def cmd_corollary_c(args) -> int:
 def cmd_conjecture(args) -> int:
     if args.p < 3:
         raise UsageError("--p must be an odd prime")
+    # a count past Python's int-to-str digit limit raises ValueError before any output
     try:
         report = conjecture_mod.run_conjecture(
             args.p, args.depth, args.max_log_degree, budget=args.budget
         )
+        blob = report.to_json_dict()
+        lines = [
+            f"orbit over F_{args.p}: depth {report.depth}, "
+            f"{report.nodes} nodes, {report.factors_found} factors"
+            + (" (truncated)" if report.truncated else ""),
+        ]
+        for row in report.rows:
+            lines.append(
+                f"degree {row.degree:>4}: {row.found}/{row.total} "
+                f"({row.fraction:.1%})"
+            )
+        lines.append(f"non-power-of-two degrees: {list(report.non_power_of_two_degrees)}")
+        if args.out:
+            with open(args.out, "w") as handle:
+                json.dump(blob, handle, indent=2, sort_keys=True)
+                handle.write("\n")
+        _emit(args, {"report": blob}, lines)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    blob = report.to_json_dict()
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(blob, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    lines = [
-        f"orbit over F_{args.p}: depth {report.depth}, "
-        f"{report.nodes} nodes, {report.factors_found} factors"
-        + (" (truncated)" if report.truncated else ""),
-    ]
-    for row in report.rows:
-        lines.append(
-            f"degree {row.degree:>4}: {row.found}/{row.total} "
-            f"({row.fraction:.1%})"
-        )
-    lines.append(f"non-power-of-two degrees: {list(report.non_power_of_two_degrees)}")
-    _emit(args, {"report": blob}, lines)
     return EXIT_OK
 
 

@@ -211,13 +211,17 @@ def run_conjecture(
 ) -> CoverageReport:
     """Walk the orbit `depth` generations and tally factor coverage.
 
-    Raises InternalConsistencyError if any recorded factor has a degree
-    that is not a power of two: that direction is proved, so seeing a
-    violation means the arithmetic is broken, not the claim.
+    Raises ValueError when 2^max_log_degree exceeds degree_cap, as an
+    orbit from x records no factor above the cap.  Raises
+    InternalConsistencyError if any recorded factor has a degree that is
+    not a power of two: that direction is proved, so seeing a violation
+    means the arithmetic is broken, not the claim.
     """
     if depth < 0 or max_log_degree < 0:
         raise ValueError("depth and max-log-degree must be nonnegative")
     ledger = new_ledger(p, budget=budget, degree_cap=degree_cap)
+    if max_log_degree >= degree_cap.bit_length():
+        raise ValueError(f"2^max-log-degree must not exceed the degree cap {degree_cap}")
     for _ in range(depth):
         before = ledger.depth
         ledger = step_orbit(ledger)

@@ -110,8 +110,7 @@ class Poly:
     def monomial(cls, field, e: int, c=None) -> "Poly":
         if c is None:
             c = field.one
-        coeffs = [field.zero] * e + [c]
-        return cls(field, coeffs)
+        return cls.constant(field, c).shifted(max(e, 0))
 
     # -- structure ---------------------------------------------------------
 
@@ -149,9 +148,6 @@ class Poly:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coefficient(self.degree())
-
-    def is_constant(self) -> bool:
-        return self.degree() <= 0
 
     def embedded(self, field: FieldDesc) -> "Poly":
         """This polynomial over F_p (or over field itself) as one over field."""

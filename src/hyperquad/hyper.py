@@ -9,9 +9,16 @@ whose r-th power satisfies
     alpha^r = eps1 * Pk * alpha_{l+1} + eps2 * Qk,
 
 where alpha_{l+1} is the complete quotient after the head.  This module
-builds the degree r+1 algebraic equation characterizing alpha, expands
-alpha by ultrametric fixed-point iteration on that relation (no use of
-the closed-form quotient formulas), and checks candidate roots.
+builds the degree r+1 equation lead*X^(r+1) + second*X^r + linear*X +
+constant = 0 characterizing alpha, expands alpha by ultrametric
+fixed-point iteration X -> -(second*X^r + constant)/(lead*X^r + linear)
+(no use of the closed-form quotient formulas), and checks candidate roots.
+That map is exactly the relation's: with the head continuants x_i/y_i,
+[head, z] = (x_l z + x_{l-1})/(y_l z + y_{l-1}) at z = (X^r - eps2 Qk)/
+(eps1 Pk), numerator and denominator times eps1 Pk, has the coefficients
+build_equation writes.  The start lambda_1*T at floor -1 is exact too:
+alpha = lambda_1 T + 1/alpha_2 with |alpha_2| >= |T|, so above exponent
+-1 alpha is lambda_1 T + 0*T^0.
 """
 
 from __future__ import annotations
@@ -175,22 +182,22 @@ def build_equation(spec: TypeSpec) -> AlgebraicEquation:
 def expand_alpha(spec: TypeSpec, n_max: int) -> ExpansionRecord:
     """First n_max partial quotients of alpha, by fixed-point iteration.
 
-    The defining relation is used directly: push the current iterate
-    through alpha -> [head, (alpha^r - eps2 Qk)/(eps1 Pk)].  Each round
-    multiplies the correct-coefficient count by about r, so the loop is
-    short; the precision target starts from the assumption of linear
-    partial quotients and doubles on exhaustion.
+    Each round is one series division, X -> -(second*X^r + constant)/
+    (lead*X^r + linear): alpha -> [head, (alpha^r - eps2 Qk)/(eps1 Pk)]
+    times eps1 Pk over itself, started exactly at lambda_1*T with floor -1
+    (see the module docstring).  Each round multiplies the correct-coefficient
+    count by about r, so the loop is short; the precision target starts
+    from the assumption of linear partial quotients and doubles on exhaustion.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     field = spec.field
-    Pk, Qk = _seed_polys(spec)
-    xs, ys = _head_continuants(spec)
+    eq = build_equation(spec)
 
     needed = 4 * n_max
     rec = None
     for _ in range(_MAX_RETRIES):
-        alpha = _iterate(spec, Pk, Qk, xs, ys, -needed)
+        alpha = _iterate(eq, spec.lambdas[0], -needed)
         rec = contfrac.expand_series(alpha, n_max)
         if len(rec) >= n_max:
             break
@@ -206,22 +213,14 @@ def expand_alpha(spec: TypeSpec, n_max: int) -> ExpansionRecord:
     return rec
 
 
-def _iterate(spec, Pk, Qk, xs, ys, target_floor: int) -> LaurentSeries:
-    field, r, l = spec.field, spec.r, spec.l
-    e1P = LaurentSeries.from_poly(Pk.scaled(spec.eps1))
-    e2Q = LaurentSeries.from_poly(Qk.scaled(spec.eps2))
-    sx_l = LaurentSeries.from_poly(xs[l])
-    sx_p = LaurentSeries.from_poly(xs[l - 1])
-    sy_l = LaurentSeries.from_poly(ys[l])
-    sy_p = LaurentSeries.from_poly(ys[l - 1])
-    # [head, T] agrees with the true root above exponent -1, and from
-    # there every round is a strict contraction
-    z0 = Poly.monomial(field, 1)
-    alpha = LaurentSeries.from_rational(
-        xs[l] * z0 + xs[l - 1],
-        ys[l] * z0 + ys[l - 1],
-        floor=-1,
+def _iterate(eq: AlgebraicEquation, lam1: FieldElement, target_floor: int) -> LaurentSeries:
+    r = eq.r
+    lead, second, linear, constant = (
+        LaurentSeries.from_poly(c) for c in (eq.lead, eq.second, eq.linear, eq.constant)
     )
+    # lambda_1*T agrees with the true root above exponent -1, and from
+    # there every round is a strict contraction
+    alpha = LaurentSeries.monomial(eq.field, 1, lam1, floor=-1)
     for _ in range(_MAX_ROUNDS):
         if alpha.floor is not None and alpha.floor <= target_floor:
             return alpha
@@ -230,8 +229,8 @@ def _iterate(spec, Pk, Qk, xs, ys, target_floor: int) -> LaurentSeries:
         slack = (target_floor + r - 1) // r
         if alpha.floor is not None and alpha.floor < slack:
             alpha = alpha.truncated(slack)
-        z = (alpha.frobenius_pow(r) - e2Q) / e1P
-        nxt = (sx_l * z + sx_p) / (sy_l * z + sy_p)
+        ar = alpha.frobenius_pow(r)
+        nxt = -((second * ar + constant) / (lead * ar + linear))
         if nxt.floor is not None and alpha.floor is not None:
             if nxt.floor >= alpha.floor:
                 raise ConvergenceError(

@@ -95,18 +95,6 @@ class LaurentSeries:
         binv = cls.from_poly(den).inverse(floor=floor - num.degree())
         return cls.from_poly(num) * binv
 
-    def with_floor_request(self, floor: int) -> "LaurentSeries":
-        """Attach a working floor to an exact value (no-op if already deeper)."""
-        if self.floor is not None and self.floor <= floor:
-            return self
-        if self.floor is None:
-            if self.top is None:
-                return LaurentSeries(self.field, None, _empty(self.field), floor)
-            return LaurentSeries.make(self.field, self.top, self.block, floor)
-        raise PrecisionError(
-            f"cannot deepen a truncated value from floor {self.floor} to {floor}"
-        )
-
     # -- state predicates ----------------------------------------------------
 
     def is_exact_zero(self) -> bool:

@@ -1,6 +1,8 @@
 """CLI behavior: flags, exit codes, JSON shape and reproducibility."""
 
 import json
+import sys
+import time
 
 import pytest
 
@@ -223,3 +225,37 @@ def test_conjecture_negative_depth_usage_error(capsys):
         ["conjecture", "--p", "3", "--depth", "-2", "--max-log-degree", "1"],
     )
     assert code == 64
+
+
+@pytest.mark.parametrize(
+    "p,max_log_degree",
+    # 2^16 and 2^24 pass the default degree cap 4096; 13^4096/4096 has
+    # more digits than Python converts to a string by default (4300)
+    [(3, 16), (13, 12), (3, 24)],
+)
+def test_conjecture_oversized_report_usage_error(capsys, p, max_log_degree):
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the default, whatever the environment
+    t0 = time.monotonic()
+    try:
+        code, out, err = run(
+            capsys,
+            ["conjecture", "--p", str(p), "--depth", "1",
+             "--max-log-degree", str(max_log_degree)],
+        )
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert time.monotonic() - t0 < 1.0
+    assert code == 64
+    assert out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+def test_conjecture_largest_printable_report(capsys):
+    code, out, _ = run(
+        capsys, ["conjecture", "--p", "11", "--depth", "1", "--max-log-degree", "12"]
+    )
+    assert code == 0
+    assert out.splitlines()[-2].startswith("degree 4096: 0/8552212041387041")

@@ -142,7 +142,7 @@ def test_ledger_rejects_nonpositive_budget_and_degree_cap():
             run_conjecture(3, 3, 1, degree_cap=bad)
     # the smallest legal values still run
     assert run_conjecture(3, 3, 1, budget=1).nodes == 1
-    assert run_conjecture(3, 3, 1, degree_cap=1).nodes >= 1
+    assert run_conjecture(3, 3, 0, degree_cap=1).nodes >= 1
 
 
 def test_ledger_rejects_bad_prime():
@@ -157,6 +157,17 @@ def test_run_conjecture_rejects_negative_args():
         run_conjecture(3, -1, 2)
     with pytest.raises(ValueError):
         run_conjecture(3, 2, -1)
+
+
+def test_run_conjecture_rejects_rows_past_the_degree_cap():
+    # the rows stop at the largest power of two within the cap
+    for cap, top in ((1, 0), (4, 2), (7, 2), (4096, 12)):
+        assert len(run_conjecture(3, 1, top, degree_cap=cap).rows) == top + 1
+        with pytest.raises(ValueError, match="degree cap"):
+            run_conjecture(3, 1, top + 1, degree_cap=cap)
+    # checked before any walk or count, so a huge request fails at once
+    with pytest.raises(ValueError, match="degree cap"):
+        run_conjecture(3, 10, 10**9)
 
 
 # -- the closed-form walk against the former generic composition -------------

@@ -197,3 +197,16 @@ def test_factor_multiset_sorted():
     degs = [g.degree() for g, _ in res.factors]
     assert degs == sorted(degs)
     assert isinstance(res, FactorMultiset)
+
+
+@pytest.mark.parametrize("field", [F3, make_field(3, 2), QQ], ids=["F3", "F9", "QQ"])
+def test_monomial_matches_list_built_form(field):
+    """T^e scaled by c equals the former [0]*e + [c] build for every e."""
+    extra = Fraction(-3, 7) if field is QQ else field.u
+    scalars = [None, field.zero, field.one, field.from_int(-1), extra]
+    for e in (-2, 0, 1, 5, 300):
+        for c in scalars:
+            want = Poly(field, [field.zero] * e + [field.one if c is None else c])
+            got = Poly.monomial(field, e) if c is None else Poly.monomial(field, e, c)
+            assert got == want, (e, c)
+            assert got.degree() == want.degree()
