@@ -34,6 +34,21 @@ s*min(la, lb)*(p-1)^2 reaches 2^50 skip both paths and take that exact
 convolution at once: near 2^53 a float64 has no fractional bits left for
 the margin check to read, and int64 sums may overflow.  For p < 2^25 (the
 bound make_field enforces) each 4096-term piece of it stays below 2^62.
+mul_path names the path a product takes.
+
+Division has two paths, and div_path names the one divmod_block takes.
+Short quotients are found by long division, one quotient row per step.
+Long ones are found by reversal: with dq = da - db and rev(f) = x^deg(f)
+f(1/x), a = q*b + r reads
+
+    rev(a) = rev(q)*rev(b) + x^(dq+1) * x^(db-1-deg r) rev(r),
+
+so rev(q) = rev(a) * rev(b)^-1 mod x^(dq+1).  Only the top dq+1 rows of a
+and the top min(db, dq)+1 rows of b reach that residue.  The inverse is
+series_inv's Newton iteration, which is exact over F_q[[x]]: it doubles
+the number of correct rows each step, and every product it and the
+reversal take goes through mul above.  The remainder is then
+a - q*b on the low db rows.
 """
 
 from __future__ import annotations
@@ -52,6 +67,8 @@ _DIRECT_PER_SLOT = 64
 _CHUNK = 4096
 # products whose coefficients may reach this bound take the exact fallback
 _EXACT_BOUND = 1 << 50
+# shortest quotient (rows) that divmod_block computes by reversal
+_NEWTON_QUOTIENT = 32
 
 
 def zeros(field, n: int) -> np.ndarray:
@@ -139,6 +156,23 @@ def _fft_raw(a: np.ndarray, b: np.ndarray, w: int, p: int) -> np.ndarray:
     return rounded.astype(np.int64)
 
 
+def mul_path(la: int, lb: int, field) -> str:
+    """The path mul takes for operands of la and lb rows: direct, fft or exact.
+
+    An "fft" product still falls back to exact convolution inside _fft_raw
+    when its rounding margin is not met.
+    """
+    p, s = field.p, field.s
+    shorter = la if la < lb else lb  # builtin min() costs several times more
+    if s * shorter * (p - 1) ** 2 >= _EXACT_BOUND:
+        return "exact"
+    w = 2 * s - 1
+    work = la * lb * w * w
+    if work <= _DIRECT_WORK or work <= _DIRECT_PER_SLOT * (la + lb) * w:
+        return "direct"
+    return "fft"
+
+
 def mul(a: np.ndarray, b: np.ndarray, field) -> np.ndarray:
     p, s = field.p, field.s
     la, lb = a.shape[0], b.shape[0]
@@ -146,10 +180,10 @@ def mul(a: np.ndarray, b: np.ndarray, field) -> np.ndarray:
         return np.zeros((0, s), dtype=np.int64)
     n = la + lb - 1
     w = 2 * s - 1
-    work = la * lb * w * w  # products np.convolve makes on the packed rows
-    if s * min(la, lb) * (p - 1) ** 2 >= _EXACT_BOUND:
+    path = mul_path(la, lb, field)
+    if path == "exact":
         raw = _conv_chunked(_pack(a, w), _pack(b, w), p)[: n * w].reshape(n, w)
-    elif work <= _DIRECT_WORK or work <= _DIRECT_PER_SLOT * (la + lb) * w:
+    elif path == "direct":
         raw = np.convolve(_pack(a, w), _pack(b, w))[: n * w].reshape(n, w)
     else:
         raw = _fft_raw(a, b, w, p)
@@ -184,12 +218,64 @@ def row_inverse(field, c_row):
     return field.el(c_row).inverse().coeffs
 
 
+def series_inv(block: np.ndarray, m: int, field) -> np.ndarray:
+    """Inverse mod x^m of a power series whose row 0 (x^0) is nonzero.
+
+    Newton iteration y <- y*(2 - block*y) over F_q[[x]]: if block*y = 1 mod
+    x^k, the new y satisfies block*y = 1 mod x^(2k), exactly, so the number
+    of correct rows doubles per step and only the rows below the current
+    length are kept.  block may have fewer or more than m rows.
+    """
+    cur = np.array([row_inverse(field, block[0])], dtype=np.int64)
+    two = zeros(field, 1)
+    two[0, 0] = 2 % field.p
+    length = 1
+    while length < m:
+        length = min(2 * length, m)
+        err = sub(two, mul(block[:length], cur, field)[:length], field)
+        cur = mul(cur, err, field)[:length]
+    return trim(cur)
+
+
+def div_path(da: int, db: int, field) -> str:
+    """The path divmod_block takes for degrees da >= db: long or newton.
+
+    The row loop makes (da-db+1)(db+1)s^2 coefficient operations; division
+    by reversal costs a few products instead and wins once the quotient has
+    _NEWTON_QUOTIENT rows and that work passes the direct-product bound.
+    """
+    dq = da - db
+    if dq >= _NEWTON_QUOTIENT and (dq + 1) * (db + 1) * field.s**2 >= _DIRECT_WORK:
+        return "newton"
+    return "long"
+
+
+def _divmod_reversed(a: np.ndarray, b: np.ndarray, field):
+    """divmod_block by reversal, rev(q) = rev(a) * rev(b)^-1 mod x^(dq+1).
+
+    See the module docstring for why this is exact.
+    """
+    db, da = b.shape[0] - 1, a.shape[0] - 1
+    dq = da - db
+    # lower rows of a and b do not reach the quotient
+    rev_a = a[db:][::-1]
+    rev_b = b[db - min(db, dq) :][::-1]
+    rev_q = mul(rev_a, series_inv(rev_b, dq + 1, field), field)[: dq + 1]
+    # rev_q[0] = lead(a)/lead(b) != 0; trimmed rows are q's zero low rows
+    q = zeros(field, dq + 1)
+    q[dq + 1 - rev_q.shape[0] :] = rev_q[::-1]
+    # the low db rows of q*b depend only on the low db rows of q and b
+    return q, sub(a[:db], mul(q[:db], b[:db], field)[:db], field)
+
+
 def divmod_block(a: np.ndarray, b: np.ndarray, field):
     if b.shape[0] == 0:
         raise ZeroDivisionError("polynomial division by zero")
     db, da = b.shape[0] - 1, a.shape[0] - 1
     if da < db:
         return np.zeros((0, field.s), dtype=np.int64), a
+    if div_path(da, db, field) == "newton":
+        return _divmod_reversed(a, b, field)
     p, s = field.p, field.s
     a = a.copy()
     inv_lead = row_inverse(field, b[db])

@@ -46,6 +46,9 @@ __all__ = [
 # can only come from a bookkeeping bug; keep the bound generous
 _MAX_ROUNDS = 200
 _MAX_RETRIES = 8
+# hard cap on polynomial degrees and series precision: perfect's tower
+# degrees and the depth of expand_alpha's precision floor
+_DEGREE_CAP = 1 << 20
 
 
 class ConvergenceError(RuntimeError):
@@ -203,6 +206,11 @@ def expand_alpha(spec: TypeSpec, n_max: int) -> ExpansionRecord:
             break
         top_deg = max([q.degree() for q in rec.quotients], default=1)
         needed = max(2 * needed, 2 * n_max * (1 + top_deg))
+        if needed > _DEGREE_CAP:
+            raise ConvergenceError(
+                f"{len(rec)} of {n_max} quotients at floor {alpha.floor}; the next "
+                f"retry needs floor -{needed}, past -_DEGREE_CAP = -{_DEGREE_CAP}"
+            )
     else:
         raise ConvergenceError(
             f"no complete expansion within {_MAX_RETRIES} precision retries"

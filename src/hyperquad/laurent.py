@@ -214,7 +214,7 @@ class LaurentSeries:
             )
         if m <= 0:
             raise PrecisionError("requested inverse precision is empty")
-        inv_block = _series_inv_z(self.block, m, self.field)
+        inv_block = k.series_inv(self.block, m, self.field)
         out_floor = -self.top - m
         return LaurentSeries.make(self.field, -self.top, inv_block, out_floor)
 
@@ -344,27 +344,6 @@ def _power_exponent(r: int, p: int) -> int:
     if n != 1 or t < 1:
         raise ValueError(f"{r} is not a positive power of the characteristic {p}")
     return t
-
-
-def _series_inv_z(block: np.ndarray, m: int, field) -> np.ndarray:
-    """Newton inverse of a z-power-series block (row 0 = constant term)."""
-    lead = k.row_inverse(field, block[0])
-    cur = np.array([lead], dtype=np.int64)
-    length = 1
-    src = block[:m]
-    while length < m:
-        length = min(2 * length, m)
-        prod = k.mul(src[:length], cur, field)[:length]
-        if prod.shape[0] < length:
-            prod = np.vstack(
-                [prod, np.zeros((length - prod.shape[0], field.s), dtype=np.int64)]
-            )
-        err = (-prod) % field.p
-        err[0, 0] = (err[0, 0] + 2) % field.p
-        cur = k.mul(cur, err, field)[:length]
-    if cur.shape[0] < m:
-        cur = np.vstack([cur, np.zeros((m - cur.shape[0], field.s), dtype=np.int64)])
-    return cur[:m]
 
 
 def _exact_div(a: LaurentSeries, b: LaurentSeries) -> "LaurentSeries":

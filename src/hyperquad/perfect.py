@@ -19,7 +19,7 @@ from . import contfrac
 from .contfrac import ExpansionRecord, UndefinedBracketError
 from .ffield import FieldDesc, FieldElement, embed, frobenius, frobenius_inverse
 from .fpoly import Poly, format_poly
-from .hyper import ConvergenceError, TypeSpec, expand_alpha
+from .hyper import _DEGREE_CAP, ConvergenceError, TypeSpec, expand_alpha
 from .seedpair import (
     InternalConsistencyError,
     SeedPair,
@@ -51,11 +51,6 @@ __all__ = [
 # branch where a nonzero gamma sequence must survive indefinitely
 CASE_CLOSED = "III1"
 CASE_OPEN = "III2"
-
-# hard cap on tower polynomial degrees; beyond this a prediction is not
-# computable at desk scale and the caller gets a budget error instead
-# of an allocation blowup
-_DEGREE_CAP = 1 << 20
 
 
 class BudgetError(RuntimeError):

@@ -417,3 +417,112 @@ def test_trim_matches_row_loop(s):
     for b in cases:
         got = k.trim(b)
         assert got.shape == trim_loop(b).shape and np.array_equal(got, trim_loop(b))
+
+
+def divmod_loop(a, b, field):
+    """The former divmod_block: long division, one quotient row per step."""
+    db, da = b.shape[0] - 1, a.shape[0] - 1
+    if da < db:
+        return k.zeros(field, 0), a
+    p, s = field.p, field.s
+    a = a.copy()
+    inv_m = k.mult_matrix(field, k.row_inverse(field, b[db]))
+    q = k.zeros(field, da - db + 1)
+    for i in range(da, db - 1, -1):
+        if a[i].any():
+            c = inv_m @ a[i] % p
+            q[i - db] = c
+            a[i - db : i + 1] = (a[i - db : i + 1] - b @ k.mult_matrix(field, c).T) % p
+    return q, k.trim(a[:db])
+
+
+def series_inv_laurent(block, m, field):
+    """The former laurent._series_inv_z: Newton inverse padded to m rows."""
+    lead = k.row_inverse(field, block[0])
+    cur = np.array([lead], dtype=np.int64)
+    length = 1
+    src = block[:m]
+    while length < m:
+        length = min(2 * length, m)
+        prod = k.mul(src[:length], cur, field)[:length]
+        if prod.shape[0] < length:
+            prod = np.vstack(
+                [prod, np.zeros((length - prod.shape[0], field.s), dtype=np.int64)]
+            )
+        err = (-prod) % field.p
+        err[0, 0] = (err[0, 0] + 2) % field.p
+        cur = k.mul(cur, err, field)[:length]
+    if cur.shape[0] < m:
+        cur = np.vstack([cur, np.zeros((m - cur.shape[0], field.s), dtype=np.int64)])
+    return cur[:m]
+
+
+def division_shapes(s):
+    """(dq, db) pairs on both sides of div_path's switch for extension degree s.
+
+    dq = 31 | 32 against a long divisor, dq > db, dq = db, and at db = 0
+    and 1 the last dq below and the first dq at the work bound 2^16.
+    """
+    shapes = [(10, 3), (31, 2047), (32, 2047), (1000, 100), (300, 300)]
+    for db in (0, 1):
+        dq = -(-k._DIRECT_WORK // ((db + 1) * s * s)) - 1
+        shapes += [(dq - 1, db), (dq, db)]
+    return shapes
+
+
+@pytest.mark.parametrize("p", PRIMES + (P_LARGE,))
+@pytest.mark.parametrize("s", DEGREES)
+def test_divmod_matches_row_loop(p, s):
+    field = make_field(p, s)
+    rng = np.random.default_rng(p + s)
+    paths = set()
+    for i, (dq, db) in enumerate(division_shapes(s)):
+        b = normal_block(field, db + 1, seed=10 * i + s)
+        a = normal_block(field, dq + db + 1, seed=10 * i + s + 1)
+        # q with zero low rows, so rev(q) loses them to the trim
+        q = normal_block(field, dq + 1, seed=10 * i + s + 2)
+        q[: rng.integers(1, dq + 1) if dq else 0] = 0
+        r = k.trim(rng.integers(0, p, size=(db, s), dtype=np.int64))
+        qbr = k.add(k.mul(q, b, field), r, field)
+        paths.add(k.div_path(dq + db, db, field))
+        for x in (a, qbr):
+            got, want = k.divmod_block(x, b, field), divmod_loop(x, b, field)
+            for g, w in zip(got, want):
+                assert is_normal(g, field) and g.shape == w.shape, (dq, db)
+                assert np.array_equal(g, w), (dq, db)
+        assert np.array_equal(got[0], q) and np.array_equal(got[1], r)
+    assert paths == {"long", "newton"}
+
+
+@pytest.mark.parametrize("p", PRIMES + (P_LARGE,))
+@pytest.mark.parametrize("s", DEGREES)
+def test_series_inv_matches_former_newton(p, s):
+    field = make_field(p, s)
+    for n, m in [(1, 1), (1, 9), (5, 3), (40, 40), (7, 200), (600, 513)]:
+        block = normal_block(field, n, seed=n + m)[::-1].copy()  # row 0 nonzero
+        got = k.series_inv(block, m, field)
+        want = series_inv_laurent(block, m, field)
+        assert is_normal(got, field)
+        assert np.array_equal(got, k.trim(want)), (n, m)
+        # block * inverse = 1 mod x^m
+        one = k.mul(block, got, field)[:m]
+        assert k.trim(one).tolist() == [[1] + [0] * (s - 1)], (n, m)
+
+
+def test_div_path_and_mul_path_pins():
+    f1, f2, f3 = make_field(7, 1), make_field(7, 2), make_field(7, 3)
+    assert k.div_path(10, 10, f1) == "long"
+    assert k.div_path(31 + 2047, 2047, f1) == "long"  # dq < 32
+    assert k.div_path(32 + 2047, 2047, f1) == "newton"
+    assert k.div_path(1500 + 25000, 25000, f1) == "newton"  # tower quotient
+    assert k.div_path(1 + 25000, 25000, f3) == "long"  # Euclid's usual step
+    assert k.div_path(65534, 0, f1) == "long" and k.div_path(65535, 0, f1) == "newton"
+    assert k.div_path(100 + 200, 200, f1) == "long"  # 101 * 201 < 2^16
+    assert k.div_path(100 + 200, 200, f2) == "newton"  # times s^2 = 4
+    assert k.div_path(3, 5, f3) == "long"  # no quotient
+    assert k.mul_path(3, 5, f1) == "direct"
+    assert k.mul_path(3, 20000, f3) == "direct"  # thin: few products per slot
+    assert k.mul_path(300, 300, f1) == "fft"
+    assert k.mul_path(100, 100, f3) == "fft"
+    assert k.mul_path(300, 300, make_field(P_LARGE, 1)) == "exact"
+    assert k.mul_path(1, 1, make_field(P_LARGE, 1)) == "direct"

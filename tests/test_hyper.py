@@ -1,14 +1,16 @@
 """Tests for equation building and direct fixed-point expansion."""
 
 import random
+import time
 
 import pytest
 
-from hyperquad import contfrac, hyper
+from hyperquad import contfrac, hyper, perfect
 from hyperquad.ffield import f27_preset, make_field
 from hyperquad.fpoly import Poly
 from hyperquad.hyper import (
     AlgebraicEquation,
+    ConvergenceError,
     TypeSpec,
     build_equation,
     check_root,
@@ -306,3 +308,25 @@ def test_one_series_division_per_round(monkeypatch):
         counts.update(inverse=0, rounds=0)
         expand_alpha(spec, 12)
         assert counts["inverse"] == counts["rounds"] > 1
+
+
+def test_retries_stop_before_the_degree_cap(monkeypatch):
+    # quotient degrees grow geometrically (1, 1, 9, 41, 209, ...), so each
+    # retry deepens the floor about fivefold; the one past -2^20 is refused
+    F = make_field(5, 1)
+    spec = TypeSpec(field=F, t=1, k=2, lambdas=(F.el((3,)),), eps1=F.one, eps2=F.el((3,)))
+    floors = []
+    iterate = hyper._iterate
+
+    def recorded(eq, lam1, target_floor):
+        floors.append(target_floor)
+        return iterate(eq, lam1, target_floor)
+
+    monkeypatch.setattr(hyper, "_iterate", recorded)
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError, match="_DEGREE_CAP"):
+        expand_alpha(spec, 12)
+    assert time.perf_counter() - start < 5.0
+    assert len(floors) < hyper._MAX_RETRIES
+    assert -hyper._DEGREE_CAP <= floors[-1] < -hyper._DEGREE_CAP // 5
+    assert perfect._DEGREE_CAP is hyper._DEGREE_CAP
