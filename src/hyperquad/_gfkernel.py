@@ -20,21 +20,26 @@ convolution of the packed vectors yields every (T, u) coefficient of the
 product.  The (n, w) result is reduced by the (w, s) matrix of u^j in the
 basis, then mod p.
 
-The path is chosen by operand work, counted in products of the packed
-convolution (la*w)*(lb*w): np.convolve while that is at most _DIRECT_WORK,
-or at most _DIRECT_PER_SLOT per output slot; otherwise one real FFT per
-operand, the w columns formed on the transforms and a single inverse FFT.
-FFT products stay exact: the true coefficients are integers of size at
-most s*min(la, lb)*(p-1)^2, and at the sizes used here the float64 error of
-the transforms is orders of magnitude below 1/2, so rounding recovers them.
-The margin check guards that premise: if any entry of the inverse transform
-lies 0.25 or more from the nearest integer, the product is recomputed by
-exact chunked integer convolution.  Products whose coefficient bound
-s*min(la, lb)*(p-1)^2 reaches 2^50 skip both paths and take that exact
-convolution at once: near 2^53 a float64 has no fractional bits left for
-the margin check to read, and int64 sums may overflow.  For p < 2^25 (the
-bound make_field enforces) each 4096-term piece of it stays below 2^62.
-mul_path names the path a product takes.
+mul_path picks the path before the product is made; each is exact for
+p < 2^25, the bound make_field enforces:
+
+- direct: np.convolve while the packed product makes at most _DIRECT_WORK
+  products, or at most _DIRECT_PER_SLOT per output slot.  Either way the
+  shorter packed operand spans at most 2^8 slots, so int64 sums stay
+  below 2^8 * 2^50 = 2^58.
+- fft: one real FFT per operand, the w columns formed on the transforms,
+  one inverse FFT, rounded; taken only when an a-priori bound on the
+  float64 error is below 1/2.  By Percival (Math. Comp. 72, 2003; Brent &
+  Zimmermann, Modern Computer Arithmetic, Thm. 3.3.2) a length-2^n
+  transform convolves x and y with error below |x||y|((1+e)^3n
+  (1+e sqrt 5)^(3n+1) (1+beta)^3n - 1) for unit roundoff e = 2^-53 and
+  twiddle error beta; with beta <= e that is below 13(n+1)e.  _fft_raw
+  sums s column products, each with |a_col||b_col| <= (p-1)^2 sqrt(la*lb),
+  and _FFT_ERROR = 2^-46, about 10 * 13e, is a safety factor of 10 for
+  the spectral sum and pocketfft's mixed-radix, real-input passes (C in
+  numpy 1.x, C++ in numpy 2).  Admitted coefficients stay below 2^45.
+- exact: np.convolve over 4096-slot pieces, reduced mod p after each, so
+  sums stay below 2^12 * 2^50 = 2^62.
 
 Division has two paths, and div_path names the one divmod_block takes.
 Short quotients are found by long division, one quotient row per step.
@@ -53,6 +58,7 @@ a - q*b on the low db rows.
 
 from __future__ import annotations
 
+import math
 import zlib
 
 import numpy as np
@@ -60,13 +66,13 @@ import numpy as np
 from .exactq import prime_divisors
 
 # np.convolve while the packed product makes at most _DIRECT_WORK products,
-# or at most _DIRECT_PER_SLOT per output slot (thin operands); FFT otherwise
+# or at most _DIRECT_PER_SLOT per output slot (thin operands)
 _DIRECT_WORK = 1 << 16
 _DIRECT_PER_SLOT = 64
-# piece length of the exact fallback convolution
+# piece length of the exact convolution
 _CHUNK = 4096
-# products whose coefficients may reach this bound take the exact fallback
-_EXACT_BOUND = 1 << 50
+# bound on _fft_raw's error per transform level, per unit of s*|a_col|*|b_col|
+_FFT_ERROR = 2.0**-46
 # shortest quotient (rows) that divmod_block computes by reversal
 _NEWTON_QUOTIENT = 32
 
@@ -130,13 +136,13 @@ def _conv_chunked(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     return out % p
 
 
-def _fft_raw(a: np.ndarray, b: np.ndarray, w: int, p: int) -> np.ndarray:
+def _fft_raw(a: np.ndarray, b: np.ndarray, w: int) -> np.ndarray:
     """The (n, w) table of T^i u^j coefficients of a*b, by one real FFT each.
 
     Column j of the table is the sum over i of conv(a[:, i], b[:, j - i]);
     those sums are formed on the transforms, so one inverse transform
-    returns all w columns.  Rounding is checked against a 0.25 margin and
-    the product is recomputed exactly when the margin is not met.
+    returns all w columns.  The rounded table is exact for every shape
+    that mul_path sends here (see the module docstring).
     """
     s = a.shape[1]
     n = a.shape[0] + b.shape[0] - 1
@@ -147,30 +153,23 @@ def _fft_raw(a: np.ndarray, b: np.ndarray, w: int, p: int) -> np.ndarray:
     for i in range(s):
         spec[:, i : i + s] += fa[:, i : i + 1] * fb
     del fa, fb
-    c = np.fft.irfft(spec, m, axis=0)[:n]
-    del spec
-    rounded = np.rint(c)
-    c -= rounded
-    if np.abs(c).max() >= 0.25:
-        return _conv_chunked(_pack(a, w), _pack(b, w), p)[: n * w].reshape(n, w)
-    return rounded.astype(np.int64)
+    return np.rint(np.fft.irfft(spec, m, axis=0)[:n]).astype(np.int64)
 
 
 def mul_path(la: int, lb: int, field) -> str:
     """The path mul takes for operands of la and lb rows: direct, fft or exact.
 
-    An "fft" product still falls back to exact convolution inside _fft_raw
-    when its rounding margin is not met.
+    The module docstring gives the rule and why each path is exact.
     """
     p, s = field.p, field.s
-    shorter = la if la < lb else lb  # builtin min() costs several times more
-    if s * shorter * (p - 1) ** 2 >= _EXACT_BOUND:
-        return "exact"
     w = 2 * s - 1
     work = la * lb * w * w
     if work <= _DIRECT_WORK or work <= _DIRECT_PER_SLOT * (la + lb) * w:
         return "direct"
-    return "fft"
+    levels = (la + lb - 2).bit_length() + 1  # n + 1 for transform length 2^n
+    if s * (p - 1) ** 2 * math.sqrt(la * lb) * levels * _FFT_ERROR < 0.5:
+        return "fft"
+    return "exact"
 
 
 def mul(a: np.ndarray, b: np.ndarray, field) -> np.ndarray:
@@ -186,7 +185,7 @@ def mul(a: np.ndarray, b: np.ndarray, field) -> np.ndarray:
     elif path == "direct":
         raw = np.convolve(_pack(a, w), _pack(b, w))[: n * w].reshape(n, w)
     else:
-        raw = _fft_raw(a, b, w, p)
+        raw = _fft_raw(a, b, w)
     if s == 1:
         return trim(raw % p)
     if s * w * (p - 1) ** 3 * min(la, lb) >= 1 << 63:

@@ -425,10 +425,6 @@ def irreducibles(p: int, d: int, mode: str = "count"):
         if d > 1 and coeffs[0] == 0:
             continue
         cand = Poly(field, [field.from_int(v) for v in coeffs])
-        if d > 1 and any(
-            cand.evaluate(field.from_int(a)).is_zero() for a in range(p)
-        ):
-            continue
         if is_irreducible(cand):
             out.append(cand)
     return out

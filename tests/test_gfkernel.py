@@ -4,11 +4,15 @@
 convolution, directly or by FFT.  The references here are loops: a
 pure-Python schoolbook product, and for the largest shapes the former
 kernel's column-by-column convolution, itself checked against the
-schoolbook on smaller shapes.  The kernel's other functions are checked
+schoolbook on smaller shapes.  mul_path's FFT rule is checked against
+Percival's error bound, computed here in its product form, and at the
+largest shape it admits against exact convolution of worst-case operands.
+The kernel's other functions are checked
 to return normal-form blocks, and its Rabin test against trial division.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +22,8 @@ from hyperquad.ffield import FieldConstructionError, FieldElement, frobenius, ma
 
 PRIMES = (3, 7, 13)
 DEGREES = (1, 2, 3)
+# the largest prime below 2^25, the characteristic bound of make_field
+P_LARGE = 33554393
 
 
 def schoolbook(a, b, field):
@@ -166,28 +172,68 @@ def test_conv_chunked_matches_convolve(p, lx, ly):
     assert np.array_equal(k._conv_chunked(x, y, p), np.convolve(x, y) % p)
 
 
+# the safety factor mul_path keeps below 1/2 on top of Percival's bound
+FFT_SAFETY = 10
+
+
+def percival_bound(la, lb, s, p):
+    """Percival's bound on the float64 error of _fft_raw for la x lb rows.
+
+    Theorem 3.3.2 of Brent & Zimmermann, Modern Computer Arithmetic, in its
+    product form: a length-2^n transform convolves x and y with error below
+    |x||y|((1+e)^3n (1+e sqrt 5)^(3n+1) (1+beta)^3n - 1), here with unit
+    roundoff e = 2^-53, twiddle error beta = e, and s column products with
+    |x||y| <= (p-1)^2 sqrt(la*lb).
+    """
+    n = 0
+    while 1 << n < la + lb - 1:
+        n += 1
+    e = 2.0**-53
+    logs = 3 * n * math.log1p(e) + (3 * n + 1) * math.log1p(e * math.sqrt(5))
+    factor = math.expm1(logs + 3 * n * math.log1p(e))
+    return s * (p - 1) ** 2 * math.sqrt(la * lb) * factor
+
+
+def largest_admitted(field, ratio=1):
+    """The largest la for which mul_path(la, ratio*la) is not "exact"."""
+    lo, hi = 1, 1 << 40
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if k.mul_path(mid, ratio * mid, field) == "exact":
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
+@pytest.mark.parametrize("p", (3, 13, 65521, P_LARGE))
 @pytest.mark.parametrize("s", DEGREES)
-def test_fft_outside_margin_falls_back_to_exact(s, monkeypatch):
-    field = make_field(13, s)
-    a, b = blocks(field, 500, 700, seed=s)
-    want = column_loop(a, b, field)
-    real_irfft = np.fft.irfft
-    chunked = []
-    real_chunked = k._conv_chunked
+def test_fft_path_stays_inside_percival_bound(p, s):
+    field = make_field(p, s)
+    shapes = [(2**i, 2**j) for i in range(0, 40, 3) for j in range(i, 40, 3)]
+    for ratio in (1, 3, 100):
+        la = largest_admitted(field, ratio)
+        assert k.mul_path(la + 1, ratio * (la + 1), field) == "exact"
+        # the rule is no more than twice as strict as the stated safety
+        assert 2 * FFT_SAFETY * percival_bound(la + 1, ratio * (la + 1), s, p) >= 0.5
+        shapes += [(la, ratio * la), (la // 2, ratio * la)]
+    for la, lb in shapes:
+        if k.mul_path(la, lb, field) == "fft":
+            assert FFT_SAFETY * percival_bound(la, lb, s, p) < 0.5, (la, lb)
 
-    def perturbed(*args, **kwargs):
-        out = real_irfft(*args, **kwargs)
-        out[len(out) // 3, 0] += 0.4
-        return out
 
-    def spy(*args):
-        chunked.append(args[0].shape[0])
-        return real_chunked(*args)
-
-    monkeypatch.setattr(np.fft, "irfft", perturbed)
-    monkeypatch.setattr(k, "_conv_chunked", spy)
-    assert np.array_equal(k.mul(a, b, field), want)
-    assert chunked, "the perturbed FFT result was accepted"
+@pytest.mark.parametrize("s", (1, 2))
+def test_fft_exact_at_the_largest_admitted_length(s):
+    # all entries p - 1 make every coefficient as large as it can be
+    p = 65521
+    field = make_field(p, s)
+    w = 2 * s - 1
+    la = largest_admitted(field)
+    assert k.mul_path(la, la, field) == "fft"
+    a = np.full((la, s), p - 1, dtype=np.int64)
+    n = 2 * la - 1
+    want = k._conv_chunked(k._pack(a, w), k._pack(a, w), p)[: n * w].reshape(n, w)
+    assert np.array_equal(k._fft_raw(a, a, w) % p, want)
 
 
 @pytest.mark.parametrize("p, s", [(3, 2), (3, 3), (7, 3), (13, 3), (5, 4)])
@@ -348,16 +394,26 @@ def test_is_irreducible_matches_trial_division(p, s, max_d):
             assert k.is_irreducible(block, field) == want, [c.coeffs for c in f]
 
 
-# the largest prime below 2^25, the characteristic bound of make_field
-P_LARGE = 33554393
-
-
 @pytest.mark.parametrize("s", (1, 2))
 def test_mul_exact_at_the_largest_characteristic(s, fft_spy):
     field = make_field(P_LARGE, s)
     a, b = blocks(field, 300, 300, seed=s)
     assert np.array_equal(k.mul(a, b, field), schoolbook(a, b, field))
     assert fft_spy == []
+
+
+@pytest.mark.parametrize("s", DEGREES)
+def test_direct_path_exact_at_the_largest_characteristic(s):
+    field = make_field(P_LARGE, s)
+    w = 2 * s - 1
+    # the largest square under the work clause, and the widest operand the
+    # per-slot clause admits against any length, with every entry p - 1
+    for la, lb in [(256 // w, 256 // w), (64 // w, 5000)]:
+        assert k.mul_path(la, lb, field) == "direct"
+        assert k.mul_path(la + 1, lb + (la == lb), field) != "direct"
+        a = np.full((la, s), P_LARGE - 1, dtype=np.int64)
+        b = np.full((lb, s), P_LARGE - 1, dtype=np.int64)
+        assert np.array_equal(k.mul(a, b, field), schoolbook(a, b, field)), (la, lb)
 
 
 def test_make_field_rejects_characteristics_from_2_pow_25():
@@ -526,3 +582,12 @@ def test_div_path_and_mul_path_pins():
     assert k.mul_path(100, 100, f3) == "fft"
     assert k.mul_path(300, 300, make_field(P_LARGE, 1)) == "exact"
     assert k.mul_path(1, 1, make_field(P_LARGE, 1)) == "direct"
+
+
+def test_fft_bound_admits_the_recorded_shapes():
+    # the largest FFT products of a seed-1 deep-tower and grid-sweep round,
+    # and 2^17 rows as headroom
+    assert k.mul_path(25605, 25605, make_field(5, 2)) == "fft"
+    assert k.mul_path(3626, 3626, make_field(7, 3)) == "fft"
+    assert k.mul_path(1 << 17, 1 << 17, make_field(13, 3)) == "fft"
+    assert k.mul_path(20000, 20000, make_field(65521, 1)) == "exact"
