@@ -204,6 +204,18 @@ def scalar_mul(a: np.ndarray, c_row, field) -> np.ndarray:
     return a @ mult_matrix(field, c).T % field.p
 
 
+def frobenius_spread(a: np.ndarray, t: int, field) -> np.ndarray:
+    """Row i to the power r = p^t, moved to row r*i: A^r for a polynomial A.
+
+    A series block, highest exponent first, spreads the same way."""
+    if a.shape[0] == 0:
+        return a
+    r = field.p**t
+    out = np.zeros(((a.shape[0] - 1) * r + 1, field.s), dtype=np.int64)
+    out[::r] = a @ field.frobenius_matrix(t).T % field.p
+    return out
+
+
 def mult_matrix(field, c_row) -> np.ndarray:
     """Matrix M over F_p with M @ coords(x) = coords(c * x)."""
     s = field.s

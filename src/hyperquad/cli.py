@@ -5,7 +5,7 @@ the parsed configuration so a run can be reproduced from its own
 output.  Exit codes separate tool usage errors (64) from mathematically
 meaningful outcomes: 0 for success or full match, 2 for a principled
 mismatch (a definability condition fails and the expansion deviates),
-3 for runs that end inconclusively (precision or budget exhausted).
+3 for runs that end inconclusively (degree cap or budget exhausted).
 """
 
 from __future__ import annotations

@@ -10,15 +10,34 @@ whose r-th power satisfies
 
 where alpha_{l+1} is the complete quotient after the head.  This module
 builds the degree r+1 equation lead*X^(r+1) + second*X^r + linear*X +
-constant = 0 characterizing alpha, expands alpha by ultrametric
-fixed-point iteration X -> -(second*X^r + constant)/(lead*X^r + linear)
-(no use of the closed-form quotient formulas), and checks candidate roots.
-That map is exactly the relation's: with the head continuants x_i/y_i,
-[head, z] = (x_l z + x_{l-1})/(y_l z + y_{l-1}) at z = (X^r - eps2 Qk)/
-(eps1 Pk), numerator and denominator times eps1 Pk, has the coefficients
-build_equation writes.  The start lambda_1*T at floor -1 is exact too:
-alpha = lambda_1 T + 1/alpha_2 with |alpha_2| >= |T|, so above exponent
--1 alpha is lambda_1 T + 0*T^0.
+constant = 0 characterizing alpha, expands alpha by a homographic
+transducer over its own quotients (no use of the closed-form quotient
+formulas), and checks candidate roots.
+
+The equation is X = M(X^r) for M = (-second, -constant; lead, linear) =
+H*K, where H = (x_l, x_{l-1}; y_l, y_{l-1}) holds the head continuants and
+K = (1, -eps2 Qk; 0, eps1 Pk) maps alpha^r to alpha_{l+1}.  Frobenius
+commutes with continued fractions, alpha^r = [a_1^r, a_2^r, ...], so the
+homographic algorithm (Raney, Math. Ann. 206, 1973; Gosper, HAKMEM item
+101) reads alpha's quotients off its own.  After m quotients emitted and
+j absorbed, the state (P, Q; R, S) means alpha_(m+1) = (P z + Q)/(R z + S)
+with z = alpha_(j+1)^r; it starts at M.  While R != 0, emit a = P div R
+and set (P, Q; R, S) <- (R, S; P - aR, Q - aS).  At R = 0, absorb
+b = a_(j+1)^r: (P, Q; R, S) <- (Pb + Q, P; Rb + S, R).
+
+Every emitted quotient is exact.  The state is E_m^-1 H K A_j, with E_m
+and A_j the continuant matrices of a_1..a_m and a_1^r..a_j^r, so P/R is
+E_m^-1 H applied to w_j = ((x_j/y_j)^r - eps2 Qk)/(eps1 Pk).  For j >= 1,
+|alpha_{l+1} - w_j| = |Pk|^-1 (|y_j| |y_{j+1}|)^-r is below |Pk y_j^r|^-2,
+as deg Pk = 2k < r <= r deg a_(j+1), so by Legendre's criterion w_j is a
+convergent of alpha_{l+1}, of some length tau_j; tau_0 = 0 (w_0 = oo), and
+as the errors shrink, tau_j grows strictly.  So H(w_j) = x_L/y_L, L = l + tau_j,
+and P/R = [a_(m+1), ..., a_L] has polynomial part a_(m+1) while m < L,
+and is oo (R = 0) at m = L.  So emitting only while R != 0 keeps m <= L,
+and at R = 0 the quotient to absorb is known, as m = L >= l + j > j.
+expand_alpha raises ConvergenceError before an emitted or absorbed degree
+would pass _DEGREE_CAP, and on a stall (R = 0 with all m quotients
+absorbed), which this argument excludes for a valid spec's equation.
 """
 
 from __future__ import annotations
@@ -26,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import contfrac
+from ._gfkernel import frobenius_spread
 from .contfrac import ExpansionRecord
 from .ffield import FieldDesc, FieldElement
 from .fpoly import Poly, format_poly
@@ -42,17 +62,14 @@ __all__ = [
     "check_root",
 ]
 
-# fixed-point iteration is geometric with ratio r >= 3, so runaway loops
-# can only come from a bookkeeping bug; keep the bound generous
-_MAX_ROUNDS = 200
-_MAX_RETRIES = 8
-# hard cap on polynomial degrees and series precision: perfect's tower
-# degrees and the depth of expand_alpha's precision floor
+# hard cap on polynomial degrees: perfect's tower levels and the quotients
+# expand_alpha emits or absorbs
 _DEGREE_CAP = 1 << 20
 
 
 class ConvergenceError(RuntimeError):
-    """The fixed-point iteration stopped gaining precision."""
+    """expand_alpha cannot go on: a quotient's degree would pass _DEGREE_CAP,
+    or the transducer stalled at R = 0 with nothing left to absorb."""
 
 
 @dataclass(frozen=True)
@@ -183,69 +200,39 @@ def build_equation(spec: TypeSpec) -> AlgebraicEquation:
 
 
 def expand_alpha(spec: TypeSpec, n_max: int) -> ExpansionRecord:
-    """First n_max partial quotients of alpha, by fixed-point iteration.
-
-    Each round is one series division, X -> -(second*X^r + constant)/
-    (lead*X^r + linear): alpha -> [head, (alpha^r - eps2 Qk)/(eps1 Pk)]
-    times eps1 Pk over itself, started exactly at lambda_1*T with floor -1
-    (see the module docstring).  Each round multiplies the correct-coefficient
-    count by about r, so the loop is short; the precision target starts
-    from the assumption of linear partial quotients and doubles on exhaustion.
-    """
+    """First n_max partial quotients of alpha, by the transducer and argument
+    of the module docstring; every one is exact, so the record is complete."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    field = spec.field
+    field, r = spec.field, spec.r
     eq = build_equation(spec)
-
-    needed = 4 * n_max
-    rec = None
-    for _ in range(_MAX_RETRIES):
-        alpha = _iterate(eq, spec.lambdas[0], -needed)
-        rec = contfrac.expand_series(alpha, n_max)
-        if len(rec) >= n_max:
-            break
-        top_deg = max([q.degree() for q in rec.quotients], default=1)
-        needed = max(2 * needed, 2 * n_max * (1 + top_deg))
-        if needed > _DEGREE_CAP:
-            raise ConvergenceError(
-                f"{len(rec)} of {n_max} quotients at floor {alpha.floor}; the next "
-                f"retry needs floor -{needed}, past -_DEGREE_CAP = -{_DEGREE_CAP}"
-            )
-    else:
-        raise ConvergenceError(
-            f"no complete expansion within {_MAX_RETRIES} precision retries"
-        )
-    head = [Poly.monomial(field, 1, lam) for lam in spec.lambdas]
-    if rec.quotients[: spec.l] != head[: min(spec.l, len(rec.quotients))]:
-        raise ConvergenceError("iteration converged to a root with the wrong head")
-    return rec
-
-
-def _iterate(eq: AlgebraicEquation, lam1: FieldElement, target_floor: int) -> LaurentSeries:
-    r = eq.r
-    lead, second, linear, constant = (
-        LaurentSeries.from_poly(c) for c in (eq.lead, eq.second, eq.linear, eq.constant)
-    )
-    # lambda_1*T agrees with the true root above exponent -1, and from
-    # there every round is a strict contraction
-    alpha = LaurentSeries.monomial(eq.field, 1, lam1, floor=-1)
-    for _ in range(_MAX_ROUNDS):
-        if alpha.floor is not None and alpha.floor <= target_floor:
-            return alpha
-        # drop precision the Frobenius power would overshoot past the
-        # target; keeps the final rounds at O(target) coefficients
-        slack = (target_floor + r - 1) // r
-        if alpha.floor is not None and alpha.floor < slack:
-            alpha = alpha.truncated(slack)
-        ar = alpha.frobenius_pow(r)
-        nxt = -((second * ar + constant) / (lead * ar + linear))
-        if nxt.floor is not None and alpha.floor is not None:
-            if nxt.floor >= alpha.floor:
+    P, Q, R, S = -eq.second, -eq.constant, eq.lead, eq.linear
+    quotients: list[Poly] = []
+    j = 0  # quotients absorbed
+    while len(quotients) < n_max:
+        if not R.is_zero():
+            d = P.degree() - R.degree()
+            if d > _DEGREE_CAP:
                 raise ConvergenceError(
-                    f"iteration stalled at floor {alpha.floor} (target {target_floor})"
+                    f"a_{len(quotients) + 1} of degree {d} is past _DEGREE_CAP"
                 )
-        alpha = nxt
-    raise ConvergenceError(f"no convergence to floor {target_floor}")
+            a, rem = divmod(P, R)
+            quotients.append(a)
+            P, Q, R, S = R, S, rem, Q - a * S
+        elif j < len(quotients):
+            d = r * quotients[j].degree()
+            if d > _DEGREE_CAP:
+                raise ConvergenceError(
+                    f"absorbing a_{j + 1}^r of degree {d}, past _DEGREE_CAP"
+                )
+            b = Poly.from_block(field, frobenius_spread(quotients[j].block(), spec.t, field))
+            P, Q, R, S = P * b + Q, P, R * b + S, R
+            j += 1
+        else:
+            raise ConvergenceError(f"stalled at R = 0 with all {j} quotients absorbed")
+    return ExpansionRecord(
+        field=field, quotients=quotients, provenance="direct", status="complete"
+    )
 
 
 @dataclass(frozen=True)

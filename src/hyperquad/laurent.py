@@ -241,15 +241,10 @@ class LaurentSeries:
     def frobenius_pow(self, r: int) -> "LaurentSeries":
         """Sum c_e T^e -> sum c_e^r T^(re) for r = p^t."""
         t = _power_exponent(r, self.field.p)
-        if self.top is None:
-            floor = None if self.floor is None else self.floor * r
-            return LaurentSeries(self.field, None, _empty(self.field), floor)
-        mat = self.field.frobenius_matrix(t)
-        mapped = self.block @ mat.T % self.field.p
-        m = self.block.shape[0]
-        out = np.zeros(((m - 1) * r + 1, self.field.s), dtype=np.int64)
-        out[::r] = mapped
         floor = None if self.floor is None else self.floor * r
+        if self.top is None:
+            return LaurentSeries(self.field, None, _empty(self.field), floor)
+        out = k.frobenius_spread(self.block, t, self.field)
         return LaurentSeries.make(self.field, self.top * r, out, floor)
 
     # -- extraction ----------------------------------------------------------

@@ -7,8 +7,8 @@ which this holds at every index are called perfect.  This module
 decides perfectness, generates the scalar sequences delta, gamma and
 lambda with their case split (closed case: the gamma obstruction
 vanishes; open case: gamma must avoid poles and zeros forever), builds
-the predicted expansion, and verifies it against the direct fixed-point
-engine quotient by quotient.
+the predicted expansion, and verifies it against the direct engine
+quotient by quotient.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dfield
 
 from . import contfrac
+from ._gfkernel import frobenius_spread
 from .contfrac import ExpansionRecord, UndefinedBracketError
 from .ffield import FieldDesc, FieldElement, embed, frobenius, frobenius_inverse
 from .fpoly import Poly, format_poly
@@ -106,7 +107,9 @@ def build_tower(pair: SeedPair, depth: int) -> list[Poly]:
                 f"tower level {len(A) + 1} would have degree "
                 f"{top.degree() * r - 2 * pair.k}, beyond the supported cap"
             )
-        A.append((top**r) // pair.Pk)
+        # over F_p, A(T)^r = A(T^r)
+        spread = frobenius_spread(top.block(), pair.t, pair.field)
+        A.append(Poly.from_block(pair.field, spread) // pair.Pk)
     return A
 
 
@@ -419,7 +422,7 @@ def differential_verify(spec: TypeSpec, n_max: int) -> MatchReport:
     are not perfect the direct expansion is scanned for the first index
     whose quotient is not a scalar multiple of its tower polynomial;
     the report is inconclusive if no such index shows up within n_max
-    or if precision runs out first.
+    or if the degree cap is reached first.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -433,7 +436,7 @@ def differential_verify(spec: TypeSpec, n_max: int) -> MatchReport:
             case = classify_case(spec, head[-1])
         idx = IndexMachinery(spec.k, spec.l)
         # staged direct expansion: breakdowns usually surface early, so
-        # avoid paying full n_max precision before looking
+        # avoid expanding all n_max quotients before looking
         n_stage = min(n_max, 32)
         while True:
             try:

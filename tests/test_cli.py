@@ -65,6 +65,21 @@ def test_expand_worked_example(capsys):
     assert "status: complete, confirmed: 5" in out
 
 
+def test_expand_runs_up_to_the_degree_cap(capsys):
+    # F_5, k = 2: a_10 has degree 651041; a_11 would need a_10^r, of degree
+    # 3255205, past the cap.  The former series engine stopped at n = 10,
+    # whose precision floor would have passed the cap, with exit code 3.
+    flags = ["--p", "5", "--s", "1", "--t", "1", "--k", "2",
+             "--lambdas", "3", "--eps1", "1", "--eps2", "3"]
+    code, out, _ = run(capsys, ["expand", *flags, "--n", "10"])
+    assert code == 0
+    assert "a_10 = -2*T^651041 + " in out
+    assert "status: complete, confirmed: 10" in out
+    code, out, _ = run(capsys, ["expand", *flags, "--n", "11"])
+    assert code == 3
+    assert "inconclusive: absorbing a_10^r of degree 3255205, past _DEGREE_CAP" in out
+
+
 def test_verify_full_match_exit_zero(capsys):
     code, blob, _ = run_json(
         capsys, ["verify", *CC_FLAGS, "--n", "10", "--format", "json"]

@@ -262,6 +262,21 @@ def test_frobenius_matrix_is_cached_per_field(p, s):
             assert (m @ np.array(c) % p).tolist() == list(img.coeffs)
 
 
+@pytest.mark.parametrize("p, s", [(3, 1), (5, 1), (3, 2), (3, 3), (7, 2)])
+def test_frobenius_spread_is_the_rth_power(p, s):
+    # (sum c_i T^i)^r = sum c_i^r T^(ri) in characteristic p, over any F_q
+    field = make_field(p, s)
+    rng = np.random.default_rng(10 * p + s)
+    for t in (1, 2):
+        for n in (0, 1, 2, 7):
+            a = k.trim(rng.integers(0, p, size=(n, s), dtype=np.int64))
+            power = k.zeros(field, 1)
+            power[0, 0] = 1
+            for _ in range(p**t):
+                power = k.mul(power, a, field)
+            assert np.array_equal(k.frobenius_spread(a, t, field), power)
+
+
 def _monic_modulus(field, d, seed):
     rng = np.random.default_rng(seed)
     f = rng.integers(0, field.p, size=(d + 1, field.s), dtype=np.int64)

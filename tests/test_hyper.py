@@ -1,7 +1,17 @@
-"""Tests for equation building and direct fixed-point expansion."""
+"""Tests for equation building and the direct transducer expansion.
 
+The reference is the former direct engine, kept here: the defining
+relation iterated as a truncated Laurent series, Euclid on the result
+(contfrac.expand_series), and its rule for retrying at a deeper
+precision floor.
+"""
+
+import dataclasses
+import hashlib
+import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -16,20 +26,18 @@ from hyperquad.hyper import (
     check_root,
     expand_alpha,
     _head_continuants,
-    _iterate,
     _seed_polys,
 )
 from hyperquad.laurent import LaurentSeries
+from hyperquad.seedpair import admissible_set
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 def corollary_spec():
     F = f27_preset()
     u = F.u
     return TypeSpec(field=F, t=1, k=1, lambdas=(F.one,), eps1=-(u**6), eps2=u**3)
-
-
-def deep_alpha(spec, floor):
-    return _iterate(build_equation(spec), spec.lambdas[0], floor)
 
 
 def test_typespec_rejects_bad_data():
@@ -107,7 +115,7 @@ def test_functional_equation_from_record():
     spec = corollary_spec()
     F, r, l = spec.field, spec.r, spec.l
     rec = expand_alpha(spec, 14)
-    alpha = deep_alpha(spec, -260)
+    alpha = _relation_iterate(spec, -260)
     tail = contfrac.predicted_record(F, rec.quotients[l:])
     xm, ym = tail.convergent(len(tail))
     approx = LaurentSeries.from_rational(xm, ym, floor=-(2 * ym.degree() - 1))
@@ -122,7 +130,7 @@ def test_functional_equation_from_record():
 
 def test_check_root_accepts_iterate():
     spec = corollary_spec()
-    alpha = deep_alpha(spec, -300)
+    alpha = _relation_iterate(spec, -300)
     assert alpha.floor <= -300
     result = check_root(spec, alpha)
     assert result.ok
@@ -132,7 +140,7 @@ def test_check_root_accepts_iterate():
 def test_check_root_rejects_mutation():
     spec = corollary_spec()
     F = spec.field
-    alpha = deep_alpha(spec, -120)
+    alpha = _relation_iterate(spec, -120)
     bad = alpha + LaurentSeries.monomial(F, -37, F.u)
     result = check_root(spec, bad)
     assert not result.ok
@@ -156,15 +164,19 @@ def test_bigger_frobenius_power():
     assert len(rec) == 6
     assert rec.quotients[0] == Poly.monomial(F, 1)
     assert rec.verify_determinants()
-    alpha = deep_alpha(spec, -150)
+    alpha = _relation_iterate(spec, -150)
     assert check_root(spec, alpha).ok
 
 
-# -- the equation form against the former relation form ----------------------
+# -- the transducer against the former series engine -------------------------
+
+
+class GaveUp(Exception):
+    """The series reference stopped where the former engine raised."""
 
 
 def _relation_iterate(spec, target_floor):
-    """Reference: the former loop on the defining relation itself.
+    """alpha to the given floor by iterating the defining relation itself.
 
     Start from [head, T] expanded to floor -1, then per round divide
     alpha^r - eps2 Qk by eps1 Pk and push the quotient z through the
@@ -179,7 +191,7 @@ def _relation_iterate(spec, target_floor):
     alpha = LaurentSeries.from_rational(
         xs[l] * z0 + xs[l - 1], ys[l] * z0 + ys[l - 1], floor=-1
     )
-    for _ in range(hyper._MAX_ROUNDS):
+    for _ in range(200):
         if alpha.floor <= target_floor:
             return alpha
         slack = (target_floor + r - 1) // r
@@ -189,23 +201,38 @@ def _relation_iterate(spec, target_floor):
         nxt = (series(xs[l]) * z + series(xs[l - 1])) / (
             series(ys[l]) * z + series(ys[l - 1])
         )
-        assert nxt.floor < alpha.floor
+        if nxt.floor >= alpha.floor:
+            raise GaveUp(f"stalled at floor {alpha.floor}")
         alpha = nxt
-    raise AssertionError("reference iteration did not converge")
+    raise GaveUp(f"no convergence to floor {target_floor}")
 
 
-def _relation_expand(monkeypatch, spec, n_max):
-    """expand_alpha with the reference loop in place of _iterate; (record, loops)."""
-    floors = []
+def _series_expand(spec, n_max, cap=hyper._DEGREE_CAP):
+    """The former engine: floor -4*n_max, deepened while quotients are missing."""
+    needed = 4 * n_max
+    for _ in range(8):
+        rec = contfrac.expand_series(_relation_iterate(spec, -needed), n_max)
+        if len(rec) >= n_max:
+            return rec
+        top_deg = max([q.degree() for q in rec.quotients], default=1)
+        needed = max(2 * needed, 2 * n_max * (1 + top_deg))
+        if needed > cap:
+            raise GaveUp(f"floor -{needed} is past -{cap}")
+    raise GaveUp("no complete expansion within 8 retries")
 
-    def reference(eq, lam1, target_floor):
-        floors.append(target_floor)
-        return _relation_iterate(spec, target_floor)
 
-    with monkeypatch.context() as m:
-        m.setattr(hyper, "_iterate", reference)
-        rec = expand_alpha(spec, n_max)
-    return rec, len(floors)
+def _assert_matches_series(spec, n_max, cap=hyper._DEGREE_CAP):
+    """expand_alpha's record, checked against the reference; None if skipped."""
+    try:
+        want = _series_expand(spec, n_max, cap)
+    except GaveUp:
+        return None
+    got = expand_alpha(spec, n_max)
+    assert got.quotients == want.quotients, (spec.describe(), n_max)
+    # the reference may call a truncated expansion "rational" when Euclid's
+    # remainder vanishes at its last confirmed quotient
+    assert (got.provenance, got.status) == ("direct", "complete")
+    return got
 
 
 def _random_spec(rng, p, s, t, k, l):
@@ -221,112 +248,139 @@ def _random_spec(rng, p, s, t, k, l):
     )
 
 
-@pytest.mark.parametrize(
-    "p,s,t,k",
-    [
-        (3, 3, 1, 1),
-        (5, 1, 1, 2),
-        (5, 2, 1, 1),
-        (7, 1, 1, 3),
-        (3, 1, 2, 4),
-        (3, 2, 2, 1),
-        (7, 1, 2, 1),
-        (5, 1, 2, 7),
-    ],
-)
-def test_iterate_equals_relation_form(p, s, t, k):
-    rng = random.Random(1000 * p + 100 * s + 10 * t + k)
-    for l in (1, 2, 3):
-        spec = _random_spec(rng, p, s, t, k, l)
-        eq = build_equation(spec)
-        for floor in (-40, -150, -600):
-            want = _relation_iterate(spec, floor)
-            got = _iterate(eq, spec.lambdas[0], floor)
-            assert got == want, (spec.describe(), floor)
-
-
-def test_start_is_the_head_at_floor_minus_one():
-    rng = random.Random(5)
-    for p, s, t, k in ((3, 2, 1, 1), (5, 1, 1, 2), (3, 1, 2, 4)):
-        for l in (1, 2, 3):
-            spec = _random_spec(rng, p, s, t, k, l)
-            start = _iterate(build_equation(spec), spec.lambdas[0], -1)
-            assert start == _relation_iterate(spec, -1)
-            assert start == LaurentSeries.monomial(
-                spec.field, 1, spec.lambdas[0], floor=-1
-            )
-
-
-def _retry_spec():
-    """A target whose first precision guess falls short, so it is retried."""
-    F = make_field(3, 1)
-    return TypeSpec(field=F, t=1, k=1, lambdas=(F.one, F.one), eps1=F.one, eps2=F.one)
-
-
 def _head3_spec():
     F9 = make_field(3, 2)
     u = F9.u
     return TypeSpec(field=F9, t=1, k=1, lambdas=(u, F9.one, -u), eps1=u, eps2=-F9.one)
 
 
+def _retry_spec():
+    """A target on which the former engine's first precision guess fell short."""
+    F = make_field(3, 1)
+    return TypeSpec(field=F, t=1, k=1, lambdas=(F.one, F.one), eps1=F.one, eps2=F.one)
+
+
 @pytest.mark.parametrize(
-    "make_spec,n_max,retried",
-    [(corollary_spec, 600, False), (_head3_spec, 40, False), (_retry_spec, 12, True)],
+    "make_spec,n_max",
+    [(corollary_spec, 600), (_head3_spec, 40), (_retry_spec, 12)],
     ids=["corollary-c-600", "head-3", "retry"],
 )
-def test_expand_alpha_equals_relation_form(monkeypatch, make_spec, n_max, retried):
-    spec = make_spec()
-    want, loops = _relation_expand(monkeypatch, spec, n_max)
-    assert (loops > 1) == retried
-    got = expand_alpha(spec, n_max)
-    assert got.quotients == want.quotients
-    assert got.to_json_dict() == want.to_json_dict()
+def test_expand_alpha_equals_relation_form(make_spec, n_max):
+    assert _assert_matches_series(make_spec(), n_max) is not None
 
 
-def test_one_series_division_per_round(monkeypatch):
-    counts = {"inverse": 0, "rounds": 0}
-    inverse, frob = LaurentSeries.inverse, LaurentSeries.frobenius_pow
-
-    def counted_inverse(self, floor=None):
-        counts["inverse"] += 1
-        return inverse(self, floor)
-
-    def counted_frob(self, r):
-        counts["rounds"] += 1
-        return frob(self, r)
-
-    monkeypatch.setattr(LaurentSeries, "inverse", counted_inverse)
-    monkeypatch.setattr(LaurentSeries, "frobenius_pow", counted_frob)
-    for spec in (corollary_spec(), _retry_spec()):
-        eq = build_equation(spec)
-        counts.update(inverse=0, rounds=0)
-        _iterate(eq, spec.lambdas[0], -1)
-        assert counts == {"inverse": 0, "rounds": 0}
-        _iterate(eq, spec.lambdas[0], -300)
-        assert counts["rounds"] > 1
-        assert counts["inverse"] == counts["rounds"]
-        counts.update(inverse=0, rounds=0)
-        expand_alpha(spec, 12)
-        assert counts["inverse"] == counts["rounds"] > 1
+def _quotient_digest(quotients):
+    text = json.dumps([q.block().tolist() for q in quotients], separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:24]
 
 
-def test_retries_stop_before_the_degree_cap(monkeypatch):
-    # quotient degrees grow geometrically (1, 1, 9, 41, 209, ...), so each
-    # retry deepens the floor about fivefold; the one past -2^20 is refused
+def _verify_entries(workload):
+    pools = json.loads(REFERENCE.read_text())[workload]
+    if workload == "grid-sweep":
+        return pools["closed"] + pools["open"]
+    return pools["verify"]
+
+
+@pytest.mark.parametrize("workload,count", [("grid-sweep", 522), ("deep-tower", 13)])
+def test_transducer_matches_series_on_reference_requests(workload, count):
+    # every verify request of the benchmark's recorded pools
+    entries = _verify_entries(workload)
+    assert len(entries) == count
+    fields = {}
+    for e in entries:
+        p, t, k, s, _l = e["cell"]
+        key = (p, s, tuple(e["modulus"]))
+        F = fields.setdefault(key, make_field(p, s, key[2]))
+        spec = TypeSpec(
+            field=F, t=t, k=k, lambdas=tuple(F.el(c) for c in e["lambdas"]),
+            eps1=F.el(e["eps1"]), eps2=F.el(e["eps2"]),
+        )
+        rec = _assert_matches_series(spec, e["n"])
+        assert rec is not None and _quotient_digest(rec.quotients) == e["digest"]
+
+
+# (p, s, t): the sweep's fields and Frobenius powers; over F_27, t = 1 and
+# t = 2 both move coefficients under Frobenius
+SWEEP = [(3, 1, 1), (3, 2, 1), (3, 3, 1), (5, 1, 1), (5, 2, 1), (7, 1, 1),
+         (11, 1, 1), (13, 1, 1), (3, 1, 2), (3, 3, 2), (5, 1, 2)]
+
+
+@pytest.mark.parametrize("p,s,t", SWEEP)
+def test_transducer_matches_series_on_random_targets(p, s, t):
+    rng = random.Random(100 * p + 10 * s + t)
+    levels = admissible_set(p, t)
+    compared = 0
+    for _ in range(24):
+        spec = _random_spec(rng, p, s, t, rng.choice(levels), rng.randint(1, 3))
+        # targets whose reference floor would pass -2^16 are skipped, for time
+        rec = _assert_matches_series(spec, rng.randint(2, 25), cap=1 << 16)
+        compared += rec is not None
+    assert compared >= 18
+
+
+def _cap_spec():
     F = make_field(5, 1)
-    spec = TypeSpec(field=F, t=1, k=2, lambdas=(F.el((3,)),), eps1=F.one, eps2=F.el((3,)))
-    floors = []
-    iterate = hyper._iterate
+    return TypeSpec(field=F, t=1, k=2, lambdas=(F.el((3,)),), eps1=F.one, eps2=F.el((3,)))
 
-    def recorded(eq, lam1, target_floor):
-        floors.append(target_floor)
-        return iterate(eq, lam1, target_floor)
 
-    monkeypatch.setattr(hyper, "_iterate", recorded)
+def test_expansion_stops_before_the_degree_cap(monkeypatch):
+    # quotient degrees grow about fivefold (1, 1, 9, 41, 209, ...); a_11
+    # needs a_10^r, of degree 5 * 651041 = 3255205, past 2^20
+    spec = _cap_spec()
+    absorbed = []
+    spread = hyper.frobenius_spread
+
+    def recorded(a, t, field):
+        absorbed.append((a.shape[0] - 1) * spec.r)
+        return spread(a, t, field)
+
+    monkeypatch.setattr(hyper, "frobenius_spread", recorded)
     start = time.perf_counter()
-    with pytest.raises(ConvergenceError, match="_DEGREE_CAP"):
-        expand_alpha(spec, 12)
+    rec = expand_alpha(spec, 10)
+    assert len(rec) == 10 and rec.status == "complete"
+    assert rec.quotients[-1].degree() == 651041
+    absorbed.clear()
+    with pytest.raises(ConvergenceError, match="degree 3255205, past _DEGREE_CAP"):
+        expand_alpha(spec, 11)
     assert time.perf_counter() - start < 5.0
-    assert len(floors) < hyper._MAX_RETRIES
-    assert -hyper._DEGREE_CAP <= floors[-1] < -hyper._DEGREE_CAP // 5
+    assert max(absorbed) <= hyper._DEGREE_CAP
     assert perfect._DEGREE_CAP is hyper._DEGREE_CAP
+
+
+def test_emitted_degree_is_capped_too(monkeypatch):
+    # r = 9, k = 4: a_4 has degree 2k + r = 17 after absorbs of degree 9
+    # only, so with the cap at 10 the emission is what must be refused
+    F = make_field(3, 1)
+    spec = TypeSpec(field=F, t=2, k=4, lambdas=(F.one, F.one), eps1=-F.one, eps2=F.one)
+    assert [q.degree() for q in expand_alpha(spec, 6).quotients] == [1, 1, 1, 17, 1, 1]
+    monkeypatch.setattr(hyper, "_DEGREE_CAP", 10)
+    assert len(expand_alpha(spec, 3)) == 3
+    with pytest.raises(ConvergenceError, match="a_4 of degree 17 is past _DEGREE_CAP"):
+        expand_alpha(spec, 4)
+
+
+def test_stall_raises_a_named_error(monkeypatch):
+    # a well-formed equation cannot stall (module docstring); one with no
+    # X^(r+1) term starts at R = 0 with nothing emitted to absorb
+    spec = corollary_spec()
+    eq = build_equation(spec)
+    broken = dataclasses.replace(eq, lead=Poly.zero(spec.field))
+    monkeypatch.setattr(hyper, "build_equation", lambda _spec: broken)
+    with pytest.raises(ConvergenceError, match="stalled"):
+        expand_alpha(spec, 3)
+
+
+@pytest.mark.parametrize("p,s,t", SWEEP)
+def test_equation_map_is_head_times_relation(p, s, t):
+    # M = (-second, -constant; lead, linear) = H * (1, -eps2 Qk; 0, eps1 Pk)
+    rng = random.Random(7 * p + s + t)
+    for k in admissible_set(p, t):
+        for l in (1, 2, 3):
+            spec = _random_spec(rng, p, s, t, k, l)
+            eq = build_equation(spec)
+            xs, ys = _head_continuants(spec)
+            Pk, Qk = _seed_polys(spec)
+            e1P, e2Q = Pk.scaled(spec.eps1), Qk.scaled(spec.eps2)
+            assert -eq.second == xs[l] and eq.lead == ys[l]
+            assert -eq.constant == e1P * xs[l - 1] - e2Q * xs[l]
+            assert eq.linear == e1P * ys[l - 1] - e2Q * ys[l]

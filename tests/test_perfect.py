@@ -6,7 +6,9 @@ first five quotients were computed by hand from the recursions before
 the module existed.
 """
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -102,6 +104,33 @@ def test_tower_budget_cap():
     assert [a.degree() for a in build_tower(pair, 4)] == [1, 47, 2301, 112747]
     with pytest.raises(BudgetError):
         build_tower(pair, 5)
+
+
+def _reference_pool_pairs():
+    """(p, t, k) of every benchmark verify request, with the depth it needs."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    pools = json.loads(path.read_text())
+    entries = [e for pool in pools["grid-sweep"].values() for e in pool]
+    depths = {}
+    for e in entries + pools["deep-tower"]["verify"]:
+        p, t, k, _s, l = e["cell"]
+        idx = IndexMachinery(k, l)
+        depth = max(idx.i(n) for n in range(1, e["n"] + 1))
+        depths[p, t, k] = max(depth, depths.get((p, t, k), 0))
+    return sorted(depths.items())
+
+
+def test_tower_spread_equals_power_by_squaring():
+    # over F_p, A(T)^r = A(T^r): the tower built by the row spread equals
+    # the one built from A^r by repeated squaring
+    pairs = _reference_pool_pairs()
+    assert len(pairs) == 18
+    for (p, t, k), depth in pairs:
+        pair = build_seedpair(p, t, k)
+        want = [Poly.monomial(pair.field, 1)]
+        while len(want) < depth:
+            want.append((want[-1] ** (p**t)) // pair.Pk)
+        assert build_tower(pair, depth) == want, (p, t, k)
 
 
 # -- worked F_27 target ------------------------------------------------------
