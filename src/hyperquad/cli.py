@@ -195,9 +195,10 @@ def cmd_seedpair(args) -> int:
     return EXIT_OK if all(report.values()) else EXIT_MISMATCH
 
 
-def _quotient_strings(record, limit=None) -> list[str]:
-    qs = record.quotients if limit is None else record.quotients[:limit]
-    return [format_poly(q) for q in qs]
+def _quotient_lines(record_json: dict) -> list[str]:
+    # reuses the strings formatted for the JSON payload: formatting a long
+    # quotient costs far more than expanding it
+    return [f"  a_{i} = {s}" for i, s in enumerate(record_json["quotients"], 1)]
 
 
 def cmd_expand(args) -> int:
@@ -220,7 +221,7 @@ def cmd_expand(args) -> int:
         f"equation: {equation}",
         f"quotients ({len(record)}):",
     ]
-    lines += [f"  a_{i} = {s}" for i, s in enumerate(_quotient_strings(record), 1)]
+    lines += _quotient_lines(payload["record"])
     lines.append(f"status: {record.status}, confirmed: {record.confirmed}")
     _emit(args, payload, lines)
     return EXIT_OK
@@ -246,7 +247,7 @@ def cmd_predict(args) -> int:
         return EXIT_MISMATCH
     payload = {"status": "predicted", "record": out.to_json_dict()}
     lines = [spec.describe(), f"predicted quotients ({len(out)}):"]
-    lines += [f"  a_{i} = {s}" for i, s in enumerate(_quotient_strings(out), 1)]
+    lines += _quotient_lines(payload["record"])
     _emit(args, payload, lines)
     return EXIT_OK
 

@@ -67,10 +67,6 @@ class ExpansionRecord:
         """y_0, y_1, ..., y_N."""
         return self._continuants[1]
 
-    def convergent(self, n: int):
-        """(x_n, y_n); n from 0."""
-        return self.numerators[n], self.denominators[n]
-
     def verify_determinants(self) -> bool:
         """x_n*y_(n-1) - x_(n-1)*y_n = (-1)^n at every recorded index."""
         one = Poly.one(self.field)
@@ -83,10 +79,6 @@ class ExpansionRecord:
             if det != want:
                 return False
         return True
-
-    def tail_shape_ok(self) -> bool:
-        """Partial quotients after the first must be non-constant."""
-        return all(q.degree() >= 1 for q in self.quotients[1:])
 
     def to_json_dict(self) -> dict:
         return {

@@ -1,9 +1,8 @@
 """Exact rational arithmetic shared by the other modules.
 
 Everything here is characteristic-zero bookkeeping: p-adic valuations of
-integers and fractions, the valuation of n! read off base-p digits, and the
-small families of rational constants that later get reduced into a prime
-field.  All values are exact (`fractions.Fraction`); nothing is floated.
+integers and fractions, and the small families of rational constants that
+later get reduced into a prime field.  All values are exact (`fractions.Fraction`); nothing is floated.
 """
 
 from __future__ import annotations
@@ -71,25 +70,6 @@ def _int_valuation(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
-
-
-def digit_sum(n: int, p: int) -> int:
-    """Sum of the base-p digits of a nonnegative integer."""
-    if n < 0:
-        raise ValueError("digit_sum needs a nonnegative argument")
-    s = 0
-    while n:
-        s += n % p
-        n //= p
-    return s
-
-
-def factorial_valuation(n: int, p: int) -> int:
-    """p-adic valuation of n!, computed as (n - digit_sum(n)) / (p - 1)."""
-    _check_prime(p)
-    if n < 0:
-        raise ValueError("factorial of a negative integer")
-    return (n - digit_sum(n, p)) // (p - 1)
 
 
 def v_sequence_rational(k: int) -> list[Fraction]:

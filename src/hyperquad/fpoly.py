@@ -1,82 +1,38 @@
-"""Univariate polynomials over a finite field or the exact rationals.
+"""Univariate polynomials over a finite field F_{p^s}.
 
-One class covers both coefficient domains: finite-field polynomials are
-backed by the dense int64 kernel, rational ones by tuples of Fractions.
-The module also provides reduced rational functions, the polynomial part
-of a quotient, complete factorization into monic irreducibles over a prime
+Polynomials are backed by the dense int64 kernel (see _gfkernel).  The
+module also provides reduced rational functions, the polynomial part of a
+quotient, complete factorization into monic irreducibles over a prime
 field, and counting/enumeration of irreducibles of a given degree.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import _gfkernel as k
 from .exactq import prime_divisors
-from .ffield import (
-    FieldDesc,
-    FieldElement,
-    FieldParseError,
-    check_embedding,
-    format_element,
-    parse_element,
-)
-
-
-class _RationalField:
-    """Coefficient-domain adapter presenting Fraction like a FieldDesc."""
-
-    p = 0
-    s = 1
-
-    def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
-
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
-
-    def __repr__(self):
-        return "QQ"
-
-
-QQ = _RationalField()
-
-
-def _is_gf(field) -> bool:
-    return isinstance(field, FieldDesc)
+from .ffield import FieldDesc, FieldElement, check_embedding, format_element
 
 
 class Poly:
     """Dense polynomial, low-to-high coefficients, trailing zeros stripped."""
 
-    __slots__ = ("field", "_block", "_q")
+    __slots__ = ("field", "_block")
 
-    def __init__(self, field, coeffs=()):
+    def __init__(self, field: FieldDesc, coeffs=()):
         self.field = field
-        if _is_gf(field):
-            rows = []
-            for c in coeffs:
-                rows.append(self._coerce_gf(c).coeffs)
-            block = (
-                np.array(rows, dtype=np.int64)
-                if rows
-                else np.zeros((0, field.s), dtype=np.int64)
-            )
-            self._block = k.trim(block)
-            self._q = None
-        else:
-            qs = [Fraction(c) for c in coeffs]
-            while qs and qs[-1] == 0:
-                qs.pop()
-            self._q = tuple(qs)
-            self._block = None
+        rows = [self._coerce(c).coeffs for c in coeffs]
+        block = (
+            np.array(rows, dtype=np.int64)
+            if rows
+            else np.zeros((0, field.s), dtype=np.int64)
+        )
+        self._block = k.trim(block)
 
-    def _coerce_gf(self, c) -> FieldElement:
+    def _coerce(self, c) -> FieldElement:
         if isinstance(c, FieldElement):
             if c.field is not self.field:
                 raise ValueError("coefficient from a different field")
@@ -91,7 +47,6 @@ class Poly:
         self = cls.__new__(cls)
         self.field = field
         self._block = block
-        self._q = None
         return self
 
     @classmethod
@@ -100,7 +55,7 @@ class Poly:
 
     @classmethod
     def one(cls, field) -> "Poly":
-        return cls(field, (field.one,)) if _is_gf(field) else cls(field, (1,))
+        return cls(field, (field.one,))
 
     @classmethod
     def constant(cls, field, c) -> "Poly":
@@ -115,36 +70,23 @@ class Poly:
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        if self._block is not None:
-            return self._block.shape[0] == 0
-        return not self._q
+        return self._block.shape[0] == 0
 
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        if self._block is not None:
-            return self._block.shape[0] - 1
-        return len(self._q) - 1
+        return self._block.shape[0] - 1
 
     def block(self) -> np.ndarray:
-        if self._block is None:
-            raise TypeError("rational-coefficient polynomial has no kernel block")
         return self._block
 
-    def coefficient(self, i: int):
+    def coefficient(self, i: int) -> FieldElement:
         if i < 0:
             raise IndexError(i)
-        if self._block is not None:
-            if i >= self._block.shape[0]:
-                return self.field.zero
-            return FieldElement(self.field, tuple(int(v) for v in self._block[i]))
-        if i >= len(self._q):
-            return QQ.zero
-        return self._q[i]
+        if i >= self._block.shape[0]:
+            return self.field.zero
+        return FieldElement(self.field, tuple(int(v) for v in self._block[i]))
 
-    def coeffs_list(self) -> list:
-        return [self.coefficient(i) for i in range(self.degree() + 1)]
-
-    def leading(self):
+    def leading(self) -> FieldElement:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coefficient(self.degree())
@@ -166,42 +108,22 @@ class Poly:
 
     def __add__(self, other):
         self._check(other)
-        if self._block is not None:
-            return Poly.from_block(self.field, k.add(self._block, other._block, self.field))
-        n = max(len(self._q), len(other._q))
-        a = list(self._q) + [QQ.zero] * (n - len(self._q))
-        for i, c in enumerate(other._q):
-            a[i] += c
-        return Poly(self.field, a)
+        return Poly.from_block(self.field, k.add(self._block, other._block, self.field))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        if self._block is not None:
-            return Poly.from_block(self.field, k.neg(self._block, self.field))
-        return Poly(self.field, [-c for c in self._q])
+        return Poly.from_block(self.field, k.neg(self._block, self.field))
 
     def __mul__(self, other):
         self._check(other)
-        if self._block is not None:
-            return Poly.from_block(self.field, k.mul(self._block, other._block, self.field))
-        if self.is_zero() or other.is_zero():
-            return Poly.zero(self.field)
-        out = [QQ.zero] * (len(self._q) + len(other._q) - 1)
-        for i, a in enumerate(self._q):
-            if a:
-                for j, b in enumerate(other._q):
-                    out[i + j] += a * b
-        return Poly(self.field, out)
+        return Poly.from_block(self.field, k.mul(self._block, other._block, self.field))
 
     def scaled(self, c) -> "Poly":
         """Product with a single field constant."""
-        if self._block is not None:
-            c = self._coerce_gf(c)
-            return Poly.from_block(self.field, k.scalar_mul(self._block, c.coeffs, self.field))
-        c = Fraction(c)
-        return Poly(self.field, [c * a for a in self._q])
+        c = self._coerce(c)
+        return Poly.from_block(self.field, k.scalar_mul(self._block, c.coeffs, self.field))
 
     def __pow__(self, e: int):
         if e < 0:
@@ -219,30 +141,15 @@ class Poly:
         """Multiplication by T^e."""
         if e == 0 or self.is_zero():
             return self
-        if self._block is not None:
-            pad = np.zeros((e, self.field.s), dtype=np.int64)
-            return Poly.from_block(self.field, np.vstack([pad, self._block]))
-        return Poly(self.field, (QQ.zero,) * e + self._q)
+        pad = np.zeros((e, self.field.s), dtype=np.int64)
+        return Poly.from_block(self.field, np.vstack([pad, self._block]))
 
     def __divmod__(self, other):
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        if self._block is not None:
-            q, r = k.divmod_block(self._block, other._block, self.field)
-            return Poly.from_block(self.field, q), Poly.from_block(self.field, r)
-        rem = list(self._q)
-        db = other.degree()
-        lead = other._q[-1]
-        q = [QQ.zero] * max(0, len(rem) - db)
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
-            if c:
-                c = c / lead
-                q[i - db] = c
-                for j in range(db + 1):
-                    rem[i - db + j] -= c * other._q[j]
-        return Poly(self.field, q), Poly(self.field, rem)
+        q, r = k.divmod_block(self._block, other._block, self.field)
+        return Poly.from_block(self.field, q), Poly.from_block(self.field, r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -253,30 +160,17 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        if self._block is not None:
-            return Poly.from_block(self.field, k.monic(self._block, self.field))
-        lead = self._q[-1]
-        return Poly(self.field, [c / lead for c in self._q])
+        return Poly.from_block(self.field, k.monic(self._block, self.field))
 
     def gcd(self, other: "Poly") -> "Poly":
         self._check(other)
-        if self._block is not None:
-            return Poly.from_block(self.field, k.gcd_block(self._block, other._block, self.field))
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
+        return Poly.from_block(self.field, k.gcd_block(self._block, other._block, self.field))
 
-    def evaluate(self, x):
-        """Horner evaluation at a field element (or Fraction for QQ)."""
-        if self._block is not None:
-            acc = self.field.zero
-            for i in range(self.degree(), -1, -1):
-                acc = acc * x + self.coefficient(i)
-            return acc
-        acc = QQ.zero
-        for c in reversed(self._q):
-            acc = acc * x + c
+    def evaluate(self, x: FieldElement) -> FieldElement:
+        """Horner evaluation at a field element."""
+        acc = self.field.zero
+        for i in range(self.degree(), -1, -1):
+            acc = acc * x + self.coefficient(i)
         return acc
 
     # -- comparisons --------------------------------------------------------
@@ -284,17 +178,13 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly) or other.field is not self.field:
             return False
-        if self._block is not None:
-            return (
-                self._block.shape == other._block.shape
-                and bool((self._block == other._block).all())
-            )
-        return self._q == other._q
+        return (
+            self._block.shape == other._block.shape
+            and bool((self._block == other._block).all())
+        )
 
     def __hash__(self):
-        if self._block is not None:
-            return hash((id(self.field), self._block.tobytes()))
-        return hash((id(self.field), self._q))
+        return hash((id(self.field), self._block.tobytes()))
 
     def __repr__(self):
         return f"Poly({format_poly(self)})"
@@ -326,11 +216,7 @@ class RationalFunction:
         if g.degree() > 0:
             num = num // g
             den = den // g
-        lead = den.leading()
-        if _is_gf(num.field):
-            inv = lead.inverse()
-        else:
-            inv = 1 / lead
+        inv = den.leading().inverse()
         self.num = num.scaled(inv)
         self.den = den.scaled(inv)
 
@@ -372,8 +258,6 @@ class FactorMultiset:
 
 
 def factor(f: Poly) -> FactorMultiset:
-    if not _is_gf(f.field):
-        raise TypeError("factorization needs finite-field coefficients")
     unit_row, parts = k.factor(f.block(), f.field)
     unit = FieldElement(f.field, tuple(int(v) for v in unit_row))
     factors = tuple((Poly.from_block(f.field, b), m) for b, m in parts)
@@ -382,8 +266,6 @@ def factor(f: Poly) -> FactorMultiset:
 
 def is_irreducible(f: Poly) -> bool:
     """Rabin test over the coefficient field (see _gfkernel.is_irreducible)."""
-    if not _is_gf(f.field):
-        raise TypeError("irreducibility test needs finite-field coefficients")
     return k.is_irreducible(f.block(), f.field)
 
 
@@ -436,21 +318,17 @@ def _divisors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# text syntax: "c0 + c1*T + c2*T^2"
+# text form: "c_d*T^d + ... + c1*T + c0"
 # ---------------------------------------------------------------------------
 
 
 def format_poly(f: Poly, var: str = "T") -> str:
-    if f.is_zero():
-        return "0"
-    terms = []
-    for e in range(f.degree(), -1, -1):
-        c = f.coefficient(e)
-        if (c == QQ.zero) if f._block is None else c.is_zero():
-            continue
-        terms.append((e, _coeff_text(f, c)))
+    """Terms from the highest degree down; only nonzero rows are read."""
     pieces = []
-    for idx, (e, ctext) in enumerate(terms):
+    for e in np.flatnonzero(f.block().any(axis=1))[::-1].tolist():
+        ctext = format_element(f.coefficient(e))
+        if "," in ctext:
+            ctext = f"({ctext})"
         neg = ctext.startswith("-")
         body = ctext[1:] if neg else ctext
         if e == 0:
@@ -458,111 +336,8 @@ def format_poly(f: Poly, var: str = "T") -> str:
         else:
             tpart = var if e == 1 else f"{var}^{e}"
             term = tpart if body == "1" else f"{body}*{tpart}"
-        if idx == 0:
-            pieces.append("-" + term if neg else term)
-        else:
+        if pieces:
             pieces.append((" - " if neg else " + ") + term)
-    return "".join(pieces)
-
-
-def _coeff_text(f: Poly, c) -> str:
-    if f._block is None:
-        return str(c)
-    text = format_element(c)
-    if "," in text:
-        return f"({text})"
-    return text
-
-
-def parse_poly(field, text: str, var: str = "T") -> Poly:
-    raw = text
-    t = text.strip()
-    if not t:
-        raise FieldParseError(raw, 0, "empty polynomial")
-    chunks = _split_terms(raw, t)
-    acc: dict[int, object] = {}
-    zero = field.zero if _is_gf(field) else QQ.zero
-    for sign, chunk, pos in chunks:
-        e, coeff = _parse_term(field, chunk, var, raw, pos)
-        if sign < 0:
-            coeff = -coeff
-        acc[e] = acc.get(e, zero) + coeff
-    if not acc:
-        return Poly.zero(field)
-    top = max(acc)
-    return Poly(field, [acc.get(i, zero) for i in range(top + 1)])
-
-
-def _split_terms(raw: str, t: str):
-    chunks = []
-    depth = 0
-    cur = []
-    sign = 1
-    pos = 0
-    started = False
-    for i, ch in enumerate(t):
-        if ch == "(":
-            depth += 1
-            cur.append(ch)
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise FieldParseError(raw, i, "unbalanced parenthesis")
-            cur.append(ch)
-        elif ch in "+-" and depth == 0 and started and cur and "".join(cur).strip():
-            chunks.append((sign, "".join(cur).strip(), pos))
-            sign = 1 if ch == "+" else -1
-            cur = []
-            pos = i + 1
-        elif ch in "+-" and depth == 0 and not "".join(cur).strip():
-            sign = sign * (1 if ch == "+" else -1)
         else:
-            if not ch.isspace():
-                started = True
-            cur.append(ch)
-    if depth != 0:
-        raise FieldParseError(raw, len(t), "unbalanced parenthesis")
-    tail = "".join(cur).strip()
-    if tail:
-        chunks.append((sign, tail, pos))
-    if not chunks:
-        raise FieldParseError(raw, 0, "no terms")
-    return chunks
-
-
-def _parse_term(field, chunk: str, var: str, raw: str, pos: int):
-    body = chunk.strip()
-    e = 0
-    coeff_text = body
-    idx = body.find(var)
-    while idx != -1:
-        # the variable begins a T / T^e tail only if at start or after '*'
-        before = body[:idx].rstrip()
-        if before == "" or before.endswith("*"):
-            tail = body[idx + len(var) :].strip()
-            if tail == "":
-                e = 1
-            elif tail.startswith("^"):
-                try:
-                    e = int(tail[1:])
-                except ValueError:
-                    raise FieldParseError(raw, pos + idx, "bad exponent") from None
-                if e < 0:
-                    raise FieldParseError(raw, pos + idx, "negative exponent")
-            else:
-                raise FieldParseError(raw, pos + idx, f"unexpected text after {var}")
-            coeff_text = before.rstrip("*").strip()
-            break
-        idx = body.find(var, idx + 1)
-    if coeff_text == "" or coeff_text == "+":
-        coeff_text = "1"
-    if coeff_text == "-":
-        coeff_text = "-1"
-    if coeff_text.startswith("(") and coeff_text.endswith(")"):
-        coeff_text = coeff_text[1:-1]
-    if _is_gf(field):
-        return e, parse_element(field, coeff_text)
-    try:
-        return e, Fraction(coeff_text)
-    except (ValueError, ZeroDivisionError):
-        raise FieldParseError(raw, pos, f"bad rational {coeff_text!r}") from None
+            pieces.append("-" + term if neg else term)
+    return "".join(pieces) or "0"

@@ -19,7 +19,7 @@ from . import contfrac
 from ._gfkernel import frobenius_spread
 from .contfrac import ExpansionRecord, UndefinedBracketError
 from .ffield import FieldDesc, FieldElement, embed, frobenius, frobenius_inverse
-from .fpoly import Poly, format_poly
+from .fpoly import Poly
 from .hyper import _DEGREE_CAP, ConvergenceError, TypeSpec, expand_alpha
 from .seedpair import (
     InternalConsistencyError,

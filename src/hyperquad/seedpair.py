@@ -12,8 +12,7 @@ Every constant of the families is reduced into F_p once, when the pair
 is built: the middle g scalars 2k theta v_i i/(2k-2i+1) are kept as
 SeedPair.g_scalars and the h scalars (-1)^i binom(2k, i) as
 SeedPair.h_scalars.  Field evaluations read them and embed them into the
-working field F_q with ffield.embed; only evaluation at exact rationals
-goes back to the rational constants.
+working field F_q with ffield.embed.
 """
 
 from __future__ import annotations
@@ -227,8 +226,8 @@ def _check_index(pair: SeedPair, i: int) -> None:
         raise ValueError(f"family index must lie in 0..{2 * pair.k}, got {i}")
 
 
-def eval_g(pair: SeedPair, i: int, x) -> FieldElement | Fraction:
-    """Value of g_i at x, for x a field element or an exact rational.
+def eval_g(pair: SeedPair, i: int, x: FieldElement) -> FieldElement:
+    """Value of g_i at a field element x.
 
     Raises UndefinedValueError where the denominator vanishes; the
     caller decides what a pole means (for the predicted sequences it
@@ -236,8 +235,6 @@ def eval_g(pair: SeedPair, i: int, x) -> FieldElement | Fraction:
     """
     _check_index(pair, i)
     k = pair.k
-    if isinstance(x, (int, Fraction)):
-        return _eval_g_exact(k, i, Fraction(x))
     field = x.field
     theta = embed(field, pair.theta)
     if i == 0:
@@ -254,29 +251,10 @@ def eval_g(pair: SeedPair, i: int, x) -> FieldElement | Fraction:
     return c * (theta + embed(field, pair.w[i]) * x) / den
 
 
-def _eval_g_exact(k: int, i: int, x: Fraction) -> Fraction:
-    thetaq, _ = theta_omega_rational(k)
-    if i == 0:
-        return thetaq + x
-    if i == 2 * k:
-        den = thetaq - x
-        if den == 0:
-            raise UndefinedValueError(f"g_{i} has a pole at {x}")
-        return 1 / den
-    w = w_sequence_int(k)
-    den = thetaq + w[i - 1] * x
-    if den == 0:
-        raise UndefinedValueError(f"g_{i} has a pole at {x}")
-    c = 2 * k * thetaq * v_sequence_rational(k)[i - 1] * Fraction(i, 2 * k - 2 * i + 1)
-    return c * (thetaq + w[i] * x) / den
-
-
-def eval_h(pair: SeedPair, i: int, x) -> FieldElement | Fraction:
+def eval_h(pair: SeedPair, i: int, x: FieldElement) -> FieldElement:
     """Value of h_i at x; same conventions as eval_g.  h_i(0) = 0."""
     _check_index(pair, i)
     k = pair.k
-    if isinstance(x, (int, Fraction)):
-        return _eval_h_exact(k, i, Fraction(x))
     field = x.field
     theta = embed(field, pair.theta)
     if i == 0 or i == 2 * k:
@@ -291,20 +269,6 @@ def eval_h(pair: SeedPair, i: int, x) -> FieldElement | Fraction:
     if den.is_zero():
         raise UndefinedValueError(f"h_{i} has a pole at {x}")
     return c * theta * x / den
-
-
-def _eval_h_exact(k: int, i: int, x: Fraction) -> Fraction:
-    thetaq, _ = theta_omega_rational(k)
-    if i == 0 or i == 2 * k:
-        den = thetaq + x if i == 0 else thetaq - x
-        if den == 0:
-            raise UndefinedValueError(f"h_{i} has a pole at {x}")
-        return x / den
-    w = w_sequence_int(k)
-    den = (thetaq + w[i] * x) * (thetaq + w[i - 1] * x)
-    if den == 0:
-        raise UndefinedValueError(f"h_{i} has a pole at {x}")
-    return (-1) ** i * math.comb(2 * k, i) * thetaq * x / den
 
 
 # -- identity validation ----------------------------------------------------

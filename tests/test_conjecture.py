@@ -186,7 +186,7 @@ def _compose(hnum, hden, num, den):
 
     def clear(h):
         acc = Poly.zero(field)
-        for j, c in enumerate(h.coeffs_list()):
+        for j, c in enumerate(h.coefficient(i) for i in range(h.degree() + 1)):
             if not c.is_zero():
                 acc = acc + (npow[j] * dpow[D - j]).scaled(c)
         return acc

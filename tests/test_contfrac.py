@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from hyperquad.contfrac import (
     predicted_record,
 )
 from hyperquad.ffield import f27_preset, make_field
-from hyperquad.fpoly import QQ, Poly, RationalFunction, format_poly
+from hyperquad.fpoly import Poly, RationalFunction, format_poly
 from hyperquad.laurent import LaurentSeries
 
 F3 = make_field(3, 1)
@@ -23,48 +22,45 @@ F27 = f27_preset()
 F9 = make_field(3, 2)
 
 
-def qq_poly(*coeffs):
-    return Poly(QQ, coeffs)
-
-
 def test_expand_rational_eq1_level1():
-    rec = expand_rational(qq_poly(-1, 0, 1), qq_poly(0, 1))
-    assert [format_poly(q) for q in rec.quotients] == ["T", "-1*T"] or [
-        q.coeffs_list() for q in rec.quotients
-    ] == [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(-1)]]
+    rec = expand_rational(Poly(F3, [-1, 0, 1]), Poly(F3, [0, 1]))
+    assert [format_poly(q) for q in rec.quotients] == ["T", "-T"]
     assert rec.verify_determinants()
     assert rec.provenance == "rational"
 
 
+def _reduced_seed(k, p):
+    """P_k = (T^2 - 1)^k and Q_k over F_p from the exact constants, and v mod p."""
+    F = make_field(p, 1)
+    den = [0] * (2 * k)
+    for i, bi in enumerate(exactq.q_coefficients_rational(k)):
+        den[2 * i + 1] = exactq.reduce_mod(bi, p)
+    v = [F.from_int(exactq.reduce_mod(vi, p)) for vi in exactq.v_sequence_rational(k)]
+    return Poly(F, [-1, 0, 1]) ** k, Poly(F, den), v
+
+
 def test_expand_rational_eq1_level2():
-    num = qq_poly(1, 0, -2, 0, 1)  # (T^2-1)^2
-    b = exactq.q_coefficients_rational(2)
-    den = qq_poly(0, b[0], 0, b[1])  # -T + T^3/3
+    # v = (3, 1/3, -3/4, -4/3) = (-2, 2, -2, 2) mod 5
+    num, den, _ = _reduced_seed(2, 5)
+    assert num == Poly(F5, [1, 0, -2, 0, 1]) and den == Poly(F5, [0, -1, 0, 2])
     rec = expand_rational(num, den)
-    v = exactq.v_sequence_rational(2)
-    expected = [[Fraction(0), vi] for vi in v]
-    assert [q.coeffs_list() for q in rec.quotients] == expected
+    assert [format_poly(q) for q in rec.quotients] == ["-2*T", "2*T", "-2*T", "2*T"]
     assert rec.verify_determinants()
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_expand_rational_general_level(k):
-    num = qq_poly(-1, 0, 1) ** k
-    b = exactq.q_coefficients_rational(k)
-    den_coeffs = [Fraction(0)] * (2 * k)
-    for i, bi in enumerate(b):
-        den_coeffs[2 * i + 1] = bi
-    rec = expand_rational(num, Poly(QQ, den_coeffs))
-    v = exactq.v_sequence_rational(k)
-    assert len(rec.quotients) == 2 * k
-    for q, vi in zip(rec.quotients, v):
-        assert q.coeffs_list() == [Fraction(0), vi]
+    # the least odd prime p with k <= (p - 1)/2, so every constant is a unit
+    p = {1: 3, 2: 5, 3: 7, 4: 11, 5: 11}[k]
+    num, den, v = _reduced_seed(k, p)
+    rec = expand_rational(num, den)
+    assert rec.quotients == [Poly.monomial(num.field, 1, vi) for vi in v]
     assert rec.verify_determinants()
 
 
 def test_expand_rational_polynomial_input():
-    p = qq_poly(2, 0, 5)
-    rec = expand_rational(p, Poly.one(QQ))
+    p = Poly(F5, [2, 0, 3])
+    rec = expand_rational(p, Poly.one(F5))
     assert rec.quotients == [p]
     assert rec.confirmed == 1
 
@@ -78,7 +74,7 @@ def test_last_convergent_reproduces_input():
             if den.is_zero() or num.is_zero():
                 continue
             rec = expand_rational(num, den)
-            x, y = rec.convergent(len(rec))
+            x, y = rec.numerators[len(rec)], rec.denominators[len(rec)]
             assert RationalFunction(x, y) == RationalFunction(num, den)
             assert rec.verify_determinants()
 
@@ -189,7 +185,7 @@ def test_eval_finite_constants_zero_suffix():
 
 def test_tail_shape():
     rec = expand_rational(Poly(F3, [1, 0, 0, 1]), Poly(F3, [2, 1]))
-    assert rec.tail_shape_ok()
+    assert all(q.degree() >= 1 for q in rec.quotients[1:])
 
 
 def test_json_shape():
@@ -256,9 +252,8 @@ def test_records_hold_no_continuants_until_read():
     rec = predicted_record(F3, [Poly(F3, [0, 1]), Poly(F3, [1, 1])])
     assert "_continuants" not in vars(rec)
     rec.to_json_dict()
-    rec.tail_shape_ok()
     assert "_continuants" not in vars(rec)
-    assert rec.convergent(2) == (rec.numerators[2], rec.denominators[2])
+    assert len(rec.numerators) == 3
     assert "_continuants" in vars(rec)
 
 

@@ -7,15 +7,6 @@ from hypothesis import given, strategies as st
 from hyperquad import exactq
 
 
-def naive_factorial_valuation(n, p):
-    v = 0
-    f = math.factorial(n)
-    while f % p == 0:
-        f //= p
-        v += 1
-    return v
-
-
 def test_vp_basics():
     assert exactq.vp(9, 3) == 2
     assert exactq.vp(Fraction(3, 8), 2) == -3
@@ -37,18 +28,6 @@ def test_vp_rejects_composite_modulus():
 def test_vp_is_additive(a, b, p):
     assert exactq.vp(a * b, p) == exactq.vp(a, p) + exactq.vp(b, p)
     assert exactq.vp(Fraction(a, b), p) == exactq.vp(a, p) - exactq.vp(b, p)
-
-
-def test_factorial_valuation_small():
-    # 6! = 720 = 3^2 * 80
-    assert exactq.factorial_valuation(6, 3) == 2
-    assert exactq.factorial_valuation(0, 5) == 0
-    assert exactq.factorial_valuation(25, 5) == 6
-
-
-@given(st.integers(min_value=0, max_value=200), st.sampled_from([2, 3, 5, 7, 11, 13]))
-def test_factorial_valuation_matches_naive(n, p):
-    assert exactq.factorial_valuation(n, p) == naive_factorial_valuation(n, p)
 
 
 def test_v_sequence_first_levels():

@@ -117,7 +117,7 @@ def test_functional_equation_from_record():
     rec = expand_alpha(spec, 14)
     alpha = _relation_iterate(spec, -260)
     tail = contfrac.predicted_record(F, rec.quotients[l:])
-    xm, ym = tail.convergent(len(tail))
+    xm, ym = tail.numerators[len(tail)], tail.denominators[len(tail)]
     approx = LaurentSeries.from_rational(xm, ym, floor=-(2 * ym.degree() - 1))
     Pk, Qk = _seed_polys(spec)
     res = (

@@ -365,7 +365,7 @@ def test_balanced_cells_keep_degree_one_quotients():
         if isinstance(rec, NotPerfect):
             continue
         assert all(q.degree() == 1 for q in rec.quotients)
-        assert all(q.coeffs_list()[0].is_zero() for q in rec.quotients)
+        assert all(q.coefficient(0).is_zero() for q in rec.quotients)
 
 
 def test_generate_rejects_silly_argument():
