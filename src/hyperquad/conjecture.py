@@ -2,19 +2,26 @@
 
 Starting from u_1 = x, each node u spawns the three children h_0(u),
 h_1(u), h_2(u) of the k = 1 family, h_0 = x/(theta+x), h_1 =
--2 theta x/(theta^2-x^2) and h_2 = x/(theta-x) with theta = -1/2.  With
-plus = theta b + a and minus = theta b - a, a reduced node a/b has the
-children a/plus, -2 theta ab/(plus minus) = ab/(plus minus) and a/minus,
-already reduced: gcd(a, theta b +- a) = gcd(b, theta b +- a) = 1, and
+-2 theta x/(theta^2-x^2) and h_2 = x/(theta-x) with theta = -1/2.  A
+node is stored as the coprime pair (a, b) with u = a/b.  With plus =
+theta b + a and minus = theta b - a, its children are the pairs
+(a, plus), (ab, plus minus) and (a, minus), since -2 theta = 1, and they
+are coprime again: gcd(a, theta b +- a) = gcd(b, theta b +- a) = 1, and
 gcd(plus, minus) divides 2 theta b and 2a, so it is 1 as p is odd and
-theta != 0.  The factors of a and b were recorded with the parent, so a
-node factors only plus and minus.  Every monic irreducible dividing a
-numerator or denominator along the way is collected, and the haul is
-compared against the full census of irreducibles whose degree is a
-power of two.  The inclusion (only power-of-two degrees show up) is
-proved; equality is the open question this explorer probes.  A numeric
-companion walks the same maps on finite-field elements, twisted by a
-Frobenius power, and records element degrees.
+theta != 0.  So no node is ever reduced; a pair is a/b up to a unit,
+which changes neither degrees nor the monic irreducibles it factors
+into.  From u_1 = x every node is non-constant: the h_i are non-constant
+maps, so they send a non-constant u to a non-constant u.  Hence plus
+and minus never vanish (theta b +- a = 0 would make u = -+theta) and no
+child is a pole or a constant; the only children left out are those
+past the degree cap.  The factors of a and b were recorded with the
+parent, so a node factors only plus and minus.  Every monic irreducible
+dividing a numerator or denominator along the way is collected, and
+the haul is compared against the full census of irreducibles whose
+degree is a power of two.  The inclusion (only power-of-two degrees
+show up) is proved; equality is the open question this explorer
+probes.  A numeric companion walks the same maps on finite-field
+elements, twisted by a Frobenius power, and records element degrees.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from dataclasses import dataclass
 
 from .exactq import is_prime
 from .ffield import FieldDesc, FieldElement, degree_over_prime, frobenius
-from .fpoly import Poly, RationalFunction, factor, irreducibles
+from .fpoly import Poly, factor, irreducibles
 from .seedpair import (
     InternalConsistencyError,
     SeedPair,
@@ -54,16 +61,18 @@ DEFAULT_DEGREE_CAP = 4_096
 class OrbitLedger:
     """Frontier-only state of the breadth-first orbit walk.
 
-    Only the last generation of rational functions is kept: h_0 and h_2
-    keep a node's degree max(deg a, deg b) and h_1 doubles it, so the
-    whole tree would sink the explorer.  Factors live in seen_factors
-    with the orbit index that first produced them.
+    Only the last generation is kept, each node as its coprime pair
+    (a, b) keyed by orbit index: h_0 and h_2 keep a node's degree
+    max(deg a, deg b) and h_1 doubles it, so the whole tree would sink
+    the explorer.  Factors live in seen_factors with the orbit index that
+    first produced them; dropped lists the children cut by the degree
+    cap.
     """
 
     p: int
     field: FieldDesc
     theta: FieldElement
-    frontier: dict[int, RationalFunction]
+    frontier: dict[int, tuple[Poly, Poly]]
     seen_factors: dict[Poly, int]
     dropped: list[tuple[int, str]]
     depth: int
@@ -82,26 +91,22 @@ def _record_factors(ledger: OrbitLedger, index: int, *parts: Poly) -> None:
 
 def new_ledger(
     p: int,
-    seed: RationalFunction | None = None,
     budget: int = DEFAULT_BUDGET,
     degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> OrbitLedger:
-    """Fresh ledger holding generation zero (u_1 = x unless overridden)."""
+    """Fresh ledger holding generation zero, u_1 = x."""
     if not is_prime(p) or p == 2:
         raise ValueError("the orbit lives over an odd prime field")
     if budget < 1 or degree_cap < 1:
         raise ValueError("budget and degree cap must be positive")
     pair = build_seedpair(p, 1, 1)
     field = pair.field
-    if seed is None:
-        seed = RationalFunction(Poly.monomial(field, 1), Poly.one(field))
-    elif seed.num.field is not field:
-        raise ValueError("seed must be a rational function over F_p")
+    x = Poly.monomial(field, 1)
     ledger = OrbitLedger(
         p=p,
         field=field,
         theta=pair.theta,
-        frontier={1: seed},
+        frontier={1: (x, Poly.one(field))},
         seen_factors={},
         dropped=[],
         depth=0,
@@ -110,28 +115,27 @@ def new_ledger(
         degree_cap=degree_cap,
         truncated=False,
     )
-    _record_factors(ledger, 1, seed.num, seed.den)
+    _record_factors(ledger, 1, x)
     return ledger
 
 
 def step_orbit(ledger: OrbitLedger) -> OrbitLedger:
     """Advance one generation; budget exhaustion leaves depth unchanged.
 
-    Frontier node n = a/b gets the children a/plus, ab/(plus minus) and
-    a/minus of the module docstring at orbit indices 3n-1, 3n, 3n+1;
-    plus and minus are factored at most once each, at the first kept
-    child that contains them.  A child whose denominator vanishes
-    (pole) or that collapses to a constant is logged in `dropped` and
-    spawns nothing; a child beyond the degree cap likewise, with the
-    truncation flag raised.
+    Frontier node n = (a, b) gets the coprime children (a, plus),
+    (ab, plus minus) and (a, minus) of the module docstring at orbit
+    indices 3n-1, 3n, 3n+1, built without a gcd; plus and minus are
+    factored at most once each, at the first kept child that contains
+    them.  A child beyond the degree cap is logged in `dropped` and
+    spawns nothing, with the truncation flag raised.
     """
     demand = 3 * len(ledger.frontier)
     if ledger.nodes + demand > ledger.budget:
         ledger.truncated = True
         return ledger
-    nxt: dict[int, RationalFunction] = {}
+    nxt: dict[int, tuple[Poly, Poly]] = {}
     for n in sorted(ledger.frontier):
-        a, b = ledger.frontier[n].num, ledger.frontier[n].den
+        a, b = ledger.frontier[n]
         tb = b.scaled(ledger.theta)
         plus, minus = tb + a, tb - a
         fresh = {"plus": plus, "minus": minus}
@@ -142,19 +146,12 @@ def step_orbit(ledger: OrbitLedger) -> OrbitLedger:
         )
         for i, (num, den, holds) in enumerate(children):
             index = 3 * n - 1 + i
-            if den.is_zero():
-                ledger.dropped.append((index, "pole"))
-                continue
-            rf = RationalFunction(num, den)
-            if rf.num.degree() < 1 and rf.den.degree() < 1:
-                ledger.dropped.append((index, "constant"))
-                continue
-            if max(rf.num.degree(), rf.den.degree()) > ledger.degree_cap:
+            if max(num.degree(), den.degree()) > ledger.degree_cap:
                 ledger.dropped.append((index, "degree-cap"))
                 ledger.truncated = True
                 continue
             _record_factors(ledger, index, *(fresh.pop(h) for h in holds if h in fresh))
-            nxt[index] = rf
+            nxt[index] = (num, den)
             ledger.nodes += 1
     ledger.frontier = nxt
     ledger.depth += 1
@@ -237,7 +234,7 @@ def run_conjecture(
     rows = tuple(
         CoverageRow(
             degree=1 << j,
-            total=irreducibles(p, 1 << j, "count"),
+            total=irreducibles(p, 1 << j),
             found=degree_counts.get(1 << j, 0),
         )
         for j in range(max_log_degree + 1)

@@ -1,9 +1,9 @@
 """Univariate polynomials over a finite field F_{p^s}.
 
 Polynomials are backed by the dense int64 kernel (see _gfkernel).  The
-module also provides reduced rational functions, the polynomial part of a
-quotient, complete factorization into monic irreducibles over a prime
-field, and counting/enumeration of irreducibles of a given degree.
+module also provides complete factorization into monic irreducibles over
+a prime field, the Rabin irreducibility test and the count of monic
+irreducibles of a given degree.
 """
 
 from __future__ import annotations
@@ -111,7 +111,8 @@ class Poly:
         return Poly.from_block(self.field, k.add(self._block, other._block, self.field))
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        return Poly.from_block(self.field, k.sub(self._block, other._block, self.field))
 
     def __neg__(self):
         return Poly.from_block(self.field, k.neg(self._block, self.field))
@@ -194,52 +195,6 @@ class Poly:
 
 
 # ---------------------------------------------------------------------------
-# rational functions
-# ---------------------------------------------------------------------------
-
-
-class RationalFunction:
-    """Reduced fraction of polynomials with a monic denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Poly):
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.field is not den.field:
-            raise ValueError("numerator and denominator over different fields")
-        if num.is_zero():
-            self.num = num
-            self.den = Poly.one(num.field)
-            return
-        g = num.gcd(den)
-        if g.degree() > 0:
-            num = num // g
-            den = den // g
-        inv = den.leading().inverse()
-        self.num = num.scaled(inv)
-        self.den = den.scaled(inv)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RationalFunction)
-            and self.num == other.num
-            and self.den == other.den
-        )
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __repr__(self):
-        return f"({self.num}) / ({self.den})"
-
-
-def polynomial_part(f: RationalFunction) -> Poly:
-    """Quotient of the Euclidean division num by den (the square bracket)."""
-    return f.num // f.den
-
-
-# ---------------------------------------------------------------------------
 # factorization over prime fields
 # ---------------------------------------------------------------------------
 
@@ -278,38 +233,13 @@ def _mobius(n: int) -> int:
     return mu
 
 
-_ENUM_BOUND = 1 << 20
-
-
-def irreducibles(p: int, d: int, mode: str = "count"):
-    """Count (Moebius/necklace formula) or enumerate monic irreducibles of degree d."""
+def irreducibles(p: int, d: int) -> int:
+    """Number of monic irreducibles of degree d over F_p (Moebius/necklace formula)."""
     if d < 1:
         raise ValueError("degree must be positive")
-    if mode == "count":
-        total = sum(_mobius(e) * p ** (d // e) for e in _divisors(d))
-        assert total % d == 0
-        return total // d
-    if mode != "enumerate":
-        raise ValueError(f"unknown mode {mode!r}")
-    if p**d > _ENUM_BOUND:
-        raise ValueError(f"enumeration of p^d = {p**d} polynomials exceeds the size bound")
-    from .ffield import make_field
-
-    field = make_field(p, 1)
-    out = []
-    for code in range(p**d):
-        coeffs = []
-        c = code
-        for _ in range(d):
-            coeffs.append(c % p)
-            c //= p
-        coeffs.append(1)
-        if d > 1 and coeffs[0] == 0:
-            continue
-        cand = Poly(field, [field.from_int(v) for v in coeffs])
-        if is_irreducible(cand):
-            out.append(cand)
-    return out
+    total = sum(_mobius(e) * p ** (d // e) for e in _divisors(d))
+    assert total % d == 0
+    return total // d
 
 
 def _divisors(n: int) -> list[int]:

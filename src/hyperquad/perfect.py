@@ -388,25 +388,6 @@ class MatchReport:
     predicted: ExpansionRecord | None
     sequences: PerfectSequences | None
 
-    def to_json_dict(self) -> dict:
-        out = {
-            "n_requested": self.n_requested,
-            "n_checked": self.n_checked,
-            "case": self.case,
-            "perfect": self.perfect,
-            "status": self.status,
-            "first_mismatch": self.first_mismatch,
-        }
-        if self.failure is not None:
-            out["failure"] = self.failure.to_json_dict()
-        if self.sequences is not None:
-            out["sequences"] = self.sequences.to_json_dict()
-        if self.direct is not None:
-            out["direct"] = self.direct.to_json_dict()
-        if self.predicted is not None:
-            out["predicted"] = self.predicted.to_json_dict()
-        return out
-
 
 def _scalar_quotient_shape(q: Poly, A: Poly) -> bool:
     """Is q a nonzero scalar multiple of the (monic) tower polynomial?"""

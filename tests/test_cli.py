@@ -1,5 +1,6 @@
 """CLI behavior: flags, exit codes, JSON shape and reproducibility."""
 
+import hashlib
 import json
 import sys
 import time
@@ -75,6 +76,11 @@ def test_expand_runs_up_to_the_degree_cap(capsys):
     assert code == 0
     assert "a_10 = -2*T^651041 + " in out
     assert "status: complete, confirmed: 10" in out
+    # the whole text, pinned: this command makes 21 FFT products and 3
+    # Newton divisions, paths that no benchmark request reaches
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c64e0b627e5c3a33f40649aab9da66394c9a58f2ff0d5f621019eceec9ad2264"
+    )
     code, out, _ = run(capsys, ["expand", *flags, "--n", "11"])
     assert code == 3
     assert "inconclusive: absorbing a_10^r of degree 3255205, past _DEGREE_CAP" in out

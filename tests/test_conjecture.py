@@ -12,15 +12,8 @@ from hyperquad.conjecture import (
     step_orbit,
 )
 from hyperquad.ffield import f27_preset, make_field
-from hyperquad.fpoly import Poly, RationalFunction, factor
+from hyperquad.fpoly import Poly, factor
 from hyperquad.seedpair import build_seedpair, h_fraction
-
-
-def _rf(field, num, den):
-    return RationalFunction(
-        Poly(field, [field.from_int(c) for c in num]),
-        Poly(field, [field.from_int(c) for c in den]),
-    )
 
 
 def test_first_generation_functions_over_f5():
@@ -28,13 +21,12 @@ def test_first_generation_functions_over_f5():
     F = led.field
     led = step_orbit(led)
     assert led.depth == 1
-    # 2x/(2x-1), 4x/(1-4x^2), -2x/(2x+1)
-    assert led.frontier[2] == _rf(F, [0, 2], [-1, 2])
-    assert led.frontier[3] == _rf(F, [0, 4], [1, 0, -4])
-    assert led.frontier[4] == _rf(F, [0, -2], [1, 2])
-    for u in led.frontier.values():
-        assert u.den.leading() == F.one
-        assert u.num.gcd(u.den).degree() == 0
+    # theta = 2: x/(x+2), x/(4-x^2), x/(2-x), that is 2x/(2x-1),
+    # 4x/(1-4x^2) and -2x/(2x+1), kept as the pairs the closed form builds
+    x = Poly(F, [0, 1])
+    assert led.frontier[2] == (x, Poly(F, [2, 1]))
+    assert led.frontier[3] == (x, Poly(F, [4, 0, -1]))
+    assert led.frontier[4] == (x, Poly(F, [2, -1]))
 
 
 def test_first_generation_factor_haul_over_f5():
@@ -118,18 +110,6 @@ def test_degree_cap_truncates():
     assert rep.factors_found <= full.factors_found
 
 
-def test_degenerate_children_are_recorded_not_raised():
-    F = make_field(7, 1)
-    # constant seed: every child is a constant or a pole, never an error
-    led = new_ledger(7, seed=_rf(F, [4], [1]))
-    led = step_orbit(led)
-    assert led.frontier == {}
-    reasons = {reason for _, reason in led.dropped}
-    assert "pole" in reasons  # h_0 blows up at 1/2 = 4
-    assert "constant" in reasons
-    assert led.depth == 1
-
-
 def test_ledger_rejects_nonpositive_budget_and_degree_cap():
     for bad in (0, -5):
         with pytest.raises(ValueError):
@@ -194,6 +174,18 @@ def _compose(hnum, hden, num, den):
     return clear(hnum), clear(hden)
 
 
+def _reduced(num, den):
+    """num/den in lowest terms with a monic denominator, as the former walk kept it."""
+    g = num.gcd(den)
+    num, den = num // g, den // g
+    inv = den.leading().inverse()
+    return num.scaled(inv), den.scaled(inv)
+
+
+def _degree(u):
+    return max(u[0].degree(), u[1].degree())
+
+
 def _full_ledger(seen, dropped, frontier, nodes, depth, truncated):
     return (
         list(seen.items()), list(dropped), list(frontier.items()),
@@ -201,8 +193,8 @@ def _full_ledger(seen, dropped, frontier, nodes, depth, truncated):
     )
 
 
-def _reference_walk(p, depth, seed, budget, degree_cap):
-    """Full ledger after each generation, by the former walk.
+def _reference_walk(p, depth, budget, degree_cap):
+    """Full ledger after each generation, by the former walk from u_1 = x.
 
     Every kept child is rebuilt by composing the map with the node and
     reducing, and both its numerator and denominator are factored.
@@ -211,12 +203,13 @@ def _reference_walk(p, depth, seed, budget, degree_cap):
     maps = [h_fraction(pair, i) for i in range(3)]
     seen, dropped = {}, []
 
-    def record(rf, index):
-        for part in (rf.num, rf.den):
+    def record(u, index):
+        for part in u:
             if part.degree() >= 1:
                 for irr, _ in factor(part).factors:
                     seen.setdefault(irr, index)
 
+    seed = (Poly.monomial(pair.field, 1), Poly.one(pair.field))
     frontier, nodes, gen, truncated = {1: seed}, 1, 0, False
     record(seed, 1)
     history = []
@@ -230,15 +223,15 @@ def _reference_walk(p, depth, seed, budget, degree_cap):
             u = frontier[n]
             for i, (hnum, hden) in enumerate(maps):
                 index = 3 * n - 1 + i
-                num, den = _compose(hnum, hden, u.num, u.den)
+                num, den = _compose(hnum, hden, *u)
                 if den.is_zero():
                     dropped.append((index, "pole"))
                     continue
-                rf = RationalFunction(num, den)
-                if rf.num.degree() < 1 and rf.den.degree() < 1:
+                rf = _reduced(num, den)
+                if _degree(rf) < 1:
                     dropped.append((index, "constant"))
                     continue
-                if max(rf.num.degree(), rf.den.degree()) > degree_cap:
+                if _degree(rf) > degree_cap:
                     dropped.append((index, "degree-cap"))
                     truncated = True
                     continue
@@ -252,15 +245,16 @@ def _reference_walk(p, depth, seed, budget, degree_cap):
     return history
 
 
-def _closed_form_walk(p, depth, seed, budget, degree_cap):
-    led = new_ledger(p, seed=seed, budget=budget, degree_cap=degree_cap)
+def _closed_form_walk(p, depth, budget, degree_cap):
+    led = new_ledger(p, budget=budget, degree_cap=degree_cap)
     history = []
     for _ in range(depth):
         before = led.depth
         led = step_orbit(led)
+        reduced = {n: _reduced(*u) for n, u in led.frontier.items()}
         history.append(
             _full_ledger(
-                led.seen_factors, led.dropped, led.frontier,
+                led.seen_factors, led.dropped, reduced,
                 led.nodes, led.depth, led.truncated,
             )
         )
@@ -269,58 +263,57 @@ def _closed_form_walk(p, depth, seed, budget, degree_cap):
     return history
 
 
-_X = None  # marks the default seed u_1 = x
-
 WALK_CASES = [
-    # (p, depth, seed as (num, den) coefficient lists or _X, budget, degree_cap)
-    (3, 5, _X, DEFAULT_BUDGET, DEFAULT_DEGREE_CAP),
-    (5, 5, _X, DEFAULT_BUDGET, DEFAULT_DEGREE_CAP),
-    (7, 4, _X, DEFAULT_BUDGET, DEFAULT_DEGREE_CAP),
-    (11, 3, _X, DEFAULT_BUDGET, DEFAULT_DEGREE_CAP),
-    (3, 7, _X, DEFAULT_BUDGET, DEFAULT_DEGREE_CAP),
-    (5, 6, _X, DEFAULT_BUDGET, DEFAULT_DEGREE_CAP),
-    (3, 6, _X, DEFAULT_BUDGET, 4),
-    (5, 6, _X, 30, DEFAULT_DEGREE_CAP),
-    (7, 3, ([4], [1]), DEFAULT_BUDGET, DEFAULT_DEGREE_CAP),
-    (7, 3, ([3], [1]), DEFAULT_BUDGET, DEFAULT_DEGREE_CAP),
-    (5, 3, ([0], [1]), DEFAULT_BUDGET, DEFAULT_DEGREE_CAP),
-    (3, 5, ([1], [0, 1]), DEFAULT_BUDGET, DEFAULT_DEGREE_CAP),
-    (5, 4, ([0, 0, 1], [1, 1]), DEFAULT_BUDGET, DEFAULT_DEGREE_CAP),
-    (3, 4, ([1, 2, 0, 1], [2, 1]), DEFAULT_BUDGET, DEFAULT_DEGREE_CAP),
-    (13, 3, ([3, 1], [5, 0, 1]), DEFAULT_BUDGET, DEFAULT_DEGREE_CAP),
-    # a seed already beyond the cap drops all three children
-    (3, 3, ([1, 2, 0, 1], [2, 1]), DEFAULT_BUDGET, 2),
+    # (p, depth, budget, degree_cap), all from u_1 = x
+    (3, 5, DEFAULT_BUDGET, DEFAULT_DEGREE_CAP),
+    (5, 5, DEFAULT_BUDGET, DEFAULT_DEGREE_CAP),
+    (7, 4, DEFAULT_BUDGET, DEFAULT_DEGREE_CAP),
+    (11, 3, DEFAULT_BUDGET, DEFAULT_DEGREE_CAP),
+    (3, 7, DEFAULT_BUDGET, DEFAULT_DEGREE_CAP),
+    (5, 6, DEFAULT_BUDGET, DEFAULT_DEGREE_CAP),
+    (3, 6, DEFAULT_BUDGET, 4),
+    (5, 6, 30, DEFAULT_DEGREE_CAP),
 ]
 
 
-def _case_seed(p, seed):
-    if seed is _X:
-        return None
-    return _rf(make_field(p, 1), *seed)
-
-
-@pytest.mark.parametrize("p,depth,seed,budget,degree_cap", WALK_CASES)
-def test_closed_form_walk_matches_former_walk(p, depth, seed, budget, degree_cap):
-    start = _case_seed(p, seed)
-    reference_seed = start or _rf(make_field(p, 1), [0, 1], [1])
-    want = _reference_walk(p, depth, reference_seed, budget, degree_cap)
-    got = _closed_form_walk(p, depth, start, budget, degree_cap)
+@pytest.mark.parametrize("p,depth,budget,degree_cap", WALK_CASES)
+def test_closed_form_walk_matches_former_walk(p, depth, budget, degree_cap):
+    want = _reference_walk(p, depth, budget, degree_cap)
+    got = _closed_form_walk(p, depth, budget, degree_cap)
     assert got == want
 
 
-def _degree(rf):
-    return max(rf.num.degree(), rf.den.degree())
+def test_walk_nodes_are_coprime_pairs():
+    # step_orbit takes no gcd; the module docstring proves none is needed
+    for p, depth, budget, degree_cap in WALK_CASES:
+        led = new_ledger(p, budget=budget, degree_cap=degree_cap)
+        one = Poly.one(led.field)
+        for _ in range(depth):
+            led = step_orbit(led)
+            for a, b in led.frontier.values():
+                assert a.gcd(b) == one
+
+
+def test_walk_takes_no_gcd(monkeypatch):
+    led = new_ledger(5)
+
+    def refuse(self, other):
+        raise AssertionError("the orbit walk reduced a node")
+
+    monkeypatch.setattr(Poly, "gcd", refuse)
+    for _ in range(4):
+        led = step_orbit(led)
+    assert led.depth == 4
+    assert led.nodes == 1 + 3 + 9 + 27 + 81
 
 
 def test_walk_cases_drop_children_as_the_closed_form_predicts():
-    # h_0 and h_2 keep a node's degree d and h_1 doubles it; a pole or a
-    # constant at h_0 is one at h_1 too.  So the middle child is never
-    # kept without its h_0 sibling, which already recorded plus.
+    # h_0 and h_2 keep a node's degree d and h_1 doubles it, so the middle
+    # child is never kept without its h_0 sibling, which already recorded
+    # plus.  From x no child is a pole or a constant: only the cap drops.
     reasons = set()
-    for p, depth, seed, budget, degree_cap in WALK_CASES:
-        led = new_ledger(
-            p, seed=_case_seed(p, seed), budget=budget, degree_cap=degree_cap
-        )
+    for p, depth, budget, degree_cap in WALK_CASES:
+        led = new_ledger(p, budget=budget, degree_cap=degree_cap)
         for _ in range(min(depth, 5)):
             parents, before = dict(led.frontier), led.depth
             led = step_orbit(led)
@@ -335,7 +328,7 @@ def test_walk_cases_drop_children_as_the_closed_form_predicts():
                     assert 3 * n - 1 in kept
                     assert _degree(kept[3 * n]) == 2 * _degree(u)
         reasons |= {reason for _, reason in led.dropped}
-    assert reasons == {"pole", "constant", "degree-cap"}
+    assert reasons == {"degree-cap"}
 
 
 @pytest.mark.parametrize("p,depth", [(3, 5), (5, 4), (7, 3)])
