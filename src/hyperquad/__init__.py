@@ -6,7 +6,7 @@ expands them into continued fractions, predicts the full sequence of partial
 quotients for the "perfect" family, and explores which irreducible
 polynomials occur as factors in an associated rational-function orbit.
 
-Submodules are imported on demand; `from hyperquad import laurent` etc.
+Submodules are imported on demand; `from hyperquad import hyper` etc.
 """
 
 __version__ = "0.1.0"

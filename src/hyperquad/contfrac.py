@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .fpoly import Poly, format_poly
-from .laurent import LaurentSeries
 
 
 class UndefinedBracketError(ArithmeticError):
@@ -112,8 +111,11 @@ def expand_rational(numer: Poly, denom: Poly) -> ExpansionRecord:
     )
 
 
-def expand_series(alpha: LaurentSeries, n_max: int) -> ExpansionRecord:
+def expand_series(alpha, n_max: int) -> ExpansionRecord:
     """Extract up to n_max partial quotients from a truncated series.
+
+    alpha is a LaurentSeries, read only through its field, top, block and
+    floor, and through its two zero-state predicates.
 
     Quotient n is confirmed iff 2*deg(y_n) < -floor, with deg y_1 = 0 and
     deg y_n = deg a_2 + ... + deg a_n.  That sum is exact: Euclid's quotients

@@ -12,7 +12,7 @@ where alpha_{l+1} is the complete quotient after the head.  This module
 builds the degree r+1 equation lead*X^(r+1) + second*X^r + linear*X +
 constant = 0 characterizing alpha, expands alpha by a homographic
 transducer over its own quotients (no use of the closed-form quotient
-formulas), and checks candidate roots.
+formulas).
 
 The equation is X = M(X^r) for M = (-second, -constant; lead, linear) =
 H*K, where H = (x_l, x_{l-1}; y_l, y_{l-1}) holds the head continuants and
@@ -49,17 +49,14 @@ from ._gfkernel import frobenius_spread
 from .contfrac import ExpansionRecord
 from .ffield import FieldDesc, FieldElement
 from .fpoly import Poly, format_poly
-from .laurent import LaurentSeries
 from .seedpair import admissible_set, build_seedpair
 
 __all__ = [
     "TypeSpec",
     "AlgebraicEquation",
-    "RootCheck",
     "ConvergenceError",
     "build_equation",
     "expand_alpha",
-    "check_root",
 ]
 
 # hard cap on polynomial degrees: perfect's tower levels and the quotients
@@ -129,26 +126,6 @@ class AlgebraicEquation:
     linear: Poly
     constant: Poly
 
-    def evaluate(self, alpha: LaurentSeries) -> LaurentSeries:
-        """Residual series of the equation at a candidate root."""
-        ar = alpha.frobenius_pow(self.r)
-        out = LaurentSeries.from_poly(self.lead) * ar * alpha
-        out = out + LaurentSeries.from_poly(self.second) * ar
-        out = out + LaurentSeries.from_poly(self.linear) * alpha
-        return out + LaurentSeries.from_poly(self.constant)
-
-    def normalized(self) -> "AlgebraicEquation":
-        """Scale so the X^(r+1) coefficient is monic (display form)."""
-        c = self.lead.leading().inverse()
-        return AlgebraicEquation(
-            field=self.field,
-            r=self.r,
-            lead=self.lead.scaled(c),
-            second=self.second.scaled(c),
-            linear=self.linear.scaled(c),
-            constant=self.constant.scaled(c),
-        )
-
     def __str__(self):
         parts = []
         for poly, power in (
@@ -179,11 +156,8 @@ def _seed_polys(spec: TypeSpec) -> tuple[Poly, Poly]:
 
 
 def build_equation(spec: TypeSpec) -> AlgebraicEquation:
-    """The degree r+1 equation whose unique large root is alpha.
-
-    Coefficients are returned in literal (unscaled) form; use
-    normalized() for the monic display variant.
-    """
+    """The degree r+1 equation whose unique large root is alpha, with its
+    coefficients in literal (unscaled) form."""
     Pk, Qk = _seed_polys(spec)
     xs, ys = _head_continuants(spec)
     l = spec.l
@@ -233,28 +207,3 @@ def expand_alpha(spec: TypeSpec, n_max: int) -> ExpansionRecord:
     return ExpansionRecord(
         field=field, quotients=quotients, provenance="direct", status="complete"
     )
-
-
-@dataclass(frozen=True)
-class RootCheck:
-    """Outcome of evaluating the equation at a candidate series."""
-
-    leading_exponent: int | None
-    floor: int | None
-
-    @property
-    def ok(self) -> bool:
-        return self.leading_exponent is None
-
-
-def check_root(spec: TypeSpec, alpha: LaurentSeries) -> RootCheck:
-    """Residual of the defining equation at alpha.
-
-    A genuine root at floor f leaves no known nonzero coefficient, so
-    leading_exponent is None; any contamination shows up as the
-    exponent of the first surviving residual term.
-    """
-    res = build_equation(spec).evaluate(alpha)
-    if res.known_nonzero():
-        return RootCheck(leading_exponent=res.top, floor=res.floor)
-    return RootCheck(leading_exponent=None, floor=res.floor)

@@ -13,6 +13,9 @@ and raises PrecisionError naming the floor that was insufficient.
 
 Every operation computes the result's floor conservatively from the
 operands' floors; nothing silently truncates.
+
+No library module imports this one.  It is the reference series engine
+that the tests check the direct transducer (hyper.expand_alpha) against.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _gfkernel as k
-from .ffield import FieldDesc, FieldElement, format_element
+from .ffield import FieldDesc, FieldElement
 from .fpoly import Poly
 
 
@@ -68,8 +71,6 @@ class LaurentSeries:
 
     @classmethod
     def from_poly(cls, poly: Poly, floor=None) -> "LaurentSeries":
-        if not isinstance(poly.field, FieldDesc):
-            raise TypeError("Laurent series need finite-field coefficients")
         b = poly.block()
         if b.shape[0] == 0:
             return cls.zero(poly.field, floor)
@@ -119,16 +120,6 @@ class LaurentSeries:
             return self.field.zero
         return FieldElement(self.field, tuple(int(v) for v in self.block[self.top - e]))
 
-    def known_coefficients(self):
-        """Yield (exponent, FieldElement) for the stored nonzero coefficients."""
-        if self.top is None:
-            return
-        for j in range(self.block.shape[0]):
-            if self.block[j].any():
-                yield self.top - j, FieldElement(
-                    self.field, tuple(int(v) for v in self.block[j])
-                )
-
     # -- arithmetic ----------------------------------------------------------
 
     def _check(self, other):
@@ -172,22 +163,6 @@ class LaurentSeries:
         top = self.top + other.top
         return LaurentSeries.make(self.field, top, prod[::-1], floor)
 
-    def scaled(self, c: FieldElement) -> "LaurentSeries":
-        if c.is_zero():
-            return LaurentSeries(self.field, None, _empty(self.field), None)
-        if self.top is None:
-            return self
-        out = k.scalar_mul(self.block[::-1], np.array(c.coeffs), self.field)
-        return LaurentSeries.make(self.field, self.top, out[::-1], self.floor)
-
-    def shifted(self, e: int) -> "LaurentSeries":
-        """Multiplication by T^e."""
-        if self.top is None:
-            floor = None if self.floor is None else self.floor + e
-            return LaurentSeries(self.field, None, _empty(self.field), floor)
-        floor = None if self.floor is None else self.floor + e
-        return LaurentSeries(self.field, self.top + e, self.block, floor)
-
     def inverse(self, floor=None) -> "LaurentSeries":
         if self.is_exact_zero():
             raise ZeroDivisionError("inverse of zero series")
@@ -226,8 +201,8 @@ class LaurentSeries:
             raise PrecisionError(
                 f"division by a series indistinguishable from zero at floor {other.floor}"
             )
-        if self.floor is None and other.floor is None:
-            return _exact_div(self, other)
+        # with both operands exact, only a one-term divisor has an exact
+        # inverse; inverse raises PrecisionError for any other
         want = None
         if self.floor is not None:
             # the dividend's relative precision caps the quotient's; the
@@ -249,18 +224,6 @@ class LaurentSeries:
 
     # -- extraction ----------------------------------------------------------
 
-    def polynomial_part(self) -> Poly:
-        """Coefficients at exponents >= 0, as a polynomial."""
-        if self.floor is not None and self.floor >= 0:
-            raise PrecisionError(
-                f"constant term unknown: floor {self.floor} must be negative"
-            )
-        if self.top is None or self.top < 0:
-            return Poly.zero(self.field)
-        rows = self.block[: self.top + 1]
-        pad = np.zeros((self.top + 1 - rows.shape[0], self.field.s), dtype=np.int64)
-        return Poly.from_block(self.field, np.vstack([rows, pad])[::-1])
-
     def truncated(self, floor: int) -> "LaurentSeries":
         """Weaken precision to the given floor (raising it only)."""
         if self.floor is not None and floor < self.floor:
@@ -268,23 +231,6 @@ class LaurentSeries:
         if self.top is None:
             return LaurentSeries(self.field, None, _empty(self.field), floor)
         return LaurentSeries.make(self.field, self.top, self.block, floor)
-
-    def agrees_with(self, other: "LaurentSeries") -> bool:
-        """Equal coefficients on the overlap of known exponent ranges."""
-        self._check(other)
-        floors = [f for f in (self.floor, other.floor) if f is not None]
-        if floors:
-            lo = max(floors)
-        else:
-            la = self.top - self.block.shape[0] if self.top is not None else 0
-            lb = other.top - other.block.shape[0] if other.top is not None else 0
-            lo = min(la, lb)
-        tops = [x for x in (self.top, other.top) if x is not None]
-        hi = max(tops) if tops else lo
-        for e in range(hi, lo, -1):
-            if self.coefficient(e) != other.coefficient(e):
-                return False
-        return True
 
     def __eq__(self, other):
         if not isinstance(other, LaurentSeries) or other.field is not self.field:
@@ -299,7 +245,8 @@ class LaurentSeries:
         )
 
     def __repr__(self):
-        return f"<series {format_series(self, max_terms=6)}>"
+        rows = self.block.shape[0]
+        return f"<series top={self.top} floor={self.floor} rows={rows}>"
 
 
 def _empty(field) -> np.ndarray:
@@ -339,46 +286,3 @@ def _power_exponent(r: int, p: int) -> int:
     if n != 1 or t < 1:
         raise ValueError(f"{r} is not a positive power of the characteristic {p}")
     return t
-
-
-def _exact_div(a: LaurentSeries, b: LaurentSeries) -> "LaurentSeries":
-    """Division of two exact Laurent polynomials; exact or PrecisionError."""
-    if a.top is None:
-        return a
-    pa = Poly.from_block(a.field, a.block[::-1])
-    pb = Poly.from_block(b.field, b.block[::-1])
-    q, r = divmod(pa, pb)
-    if not r.is_zero():
-        raise PrecisionError(
-            "exact division does not terminate; supply a precision floor"
-        )
-    shift = (a.top - a.block.shape[0]) - (b.top - b.block.shape[0])
-    return LaurentSeries.from_poly(q).shifted(shift)
-
-
-def format_series(a: LaurentSeries, max_terms=None) -> str:
-    if a.is_exact_zero():
-        return "0"
-    if a.is_zero_at_precision():
-        return f"O(T^{a.floor})"
-    terms = []
-    for e, c in a.known_coefficients():
-        text = format_element(c)
-        if "," in text:
-            text = f"({text})"
-        neg = text.startswith("-")
-        body = text[1:] if neg else text
-        if e == 0:
-            tpart = body
-        else:
-            tv = "T" if e == 1 else f"T^{e}"
-            tpart = tv if body == "1" else f"{body}*{tv}"
-        terms.append((" - " if neg else " + ") + tpart)
-        if max_terms is not None and len(terms) >= max_terms:
-            terms.append(" + ...")
-            break
-    text = "".join(terms)
-    text = text[3:] if text.startswith(" + ") else "-" + text[3:]
-    if a.floor is not None:
-        text += f" + O(T^{a.floor})"
-    return text

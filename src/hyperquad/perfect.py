@@ -102,10 +102,11 @@ def build_tower(pair: SeedPair, depth: int) -> list[Poly]:
     A = [Poly.monomial(pair.field, 1)]
     while len(A) < depth:
         top = A[-1]
-        if top.degree() * r > _DEGREE_CAP:
+        d = top.degree() * r
+        if d > _DEGREE_CAP:
             raise BudgetError(
-                f"tower level {len(A) + 1} would have degree "
-                f"{top.degree() * r - 2 * pair.k}, beyond the supported cap"
+                f"tower level {len(A) + 1} needs A_{len(A)}^r of degree {d}, "
+                "past _DEGREE_CAP"
             )
         # over F_p, A(T)^r = A(T^r)
         spread = frobenius_spread(top.block(), pair.t, pair.field)
@@ -449,26 +450,17 @@ def differential_verify(spec: TypeSpec, n_max: int) -> MatchReport:
     try:
         direct = expand_alpha(spec, n_max)
     except ConvergenceError:
-        return MatchReport(
-            n_requested=n_max, n_checked=0, case=seqs.case, perfect=True,
-            status="inconclusive", first_mismatch=None, failure=None,
-            direct=None, predicted=predicted, sequences=seqs,
-        )
-    first_bad = None
-    for j, (a, b) in enumerate(zip(direct.quotients, predicted.quotients), start=1):
-        if a != b:
-            first_bad = j
-            break
-    checked = min(len(direct), len(predicted))
-    if first_bad is None:
-        return MatchReport(
-            n_requested=n_max, n_checked=checked, case=seqs.case, perfect=True,
-            status="match", first_mismatch=None, failure=None,
-            direct=direct, predicted=predicted, sequences=seqs,
-        )
+        direct = None
+    if direct is None:
+        status, first_bad, checked = "inconclusive", None, 0
+    else:
+        pairs = zip(direct.quotients, predicted.quotients)
+        first_bad = next((j for j, (a, b) in enumerate(pairs, 1) if a != b), None)
+        status = "match" if first_bad is None else "mismatch"
+        checked = min(len(direct), len(predicted))
     return MatchReport(
         n_requested=n_max, n_checked=checked, case=seqs.case, perfect=True,
-        status="mismatch", first_mismatch=first_bad, failure=None,
+        status=status, first_mismatch=first_bad, failure=None,
         direct=direct, predicted=predicted, sequences=seqs,
     )
 

@@ -2,8 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -280,3 +283,14 @@ def test_conjecture_largest_printable_report(capsys):
     )
     assert code == 0
     assert out.splitlines()[-2].startswith("degree 4096: 0/8552212041387041")
+
+
+def test_cli_import_leaves_the_series_engine_out():
+    # laurent is the tests' reference engine; no library module may load it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = "import sys, hyperquad.cli; print('hyperquad.laurent' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -12,10 +12,11 @@ from pathlib import Path
 
 import pytest
 
+from hyperquad import perfect
 from hyperquad.contfrac import ExpansionRecord
 from hyperquad.ffield import degree_over_prime, f27_preset, make_field
 from hyperquad.fpoly import Poly
-from hyperquad.hyper import TypeSpec
+from hyperquad.hyper import ConvergenceError, TypeSpec
 from hyperquad.perfect import (
     CASE_CLOSED,
     CASE_OPEN,
@@ -99,11 +100,15 @@ def test_tower_growth_oracle():
     assert all(a.leading() == F.one for a in A)
 
 
-def test_tower_budget_cap():
+def test_tower_budget_cap(monkeypatch):
     pair = build_seedpair(7, 2, 1)  # r = 49: degrees 1, 47, 2301, 112747, ...
     assert [a.degree() for a in build_tower(pair, 4)] == [1, 47, 2301, 112747]
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match="degree 5524603, past _DEGREE_CAP"):
         build_tower(pair, 5)
+    # the cap bounds the spread T^49, not the level's degree 47 after // Pk
+    monkeypatch.setattr(perfect, "_DEGREE_CAP", 48)
+    with pytest.raises(BudgetError, match="level 2 needs A_1\\^r of degree 49, past"):
+        build_tower(pair, 2)
 
 
 def _reference_pool_pairs():
@@ -212,6 +217,28 @@ def test_differential_match_on_worked_target():
     assert report.n_checked == 40
     assert report.direct.verify_determinants()
     assert report.predicted.quotients == report.direct.quotients
+
+
+def test_differential_mismatch_and_inconclusive_on_worked_target(monkeypatch):
+    # the perfect path's two other outcomes, with the direct engine replaced
+    spec = corollary_spec()
+    good = perfect.expand_alpha(spec, 40)
+    planted = list(good.quotients)
+    planted[6] = planted[6].scaled(spec.field.u)
+    bad = ExpansionRecord(spec.field, planted, "direct", "complete")
+    monkeypatch.setattr(perfect, "expand_alpha", lambda _spec, _n: bad)
+    report = differential_verify(spec, 40)
+    assert (report.status, report.first_mismatch, report.n_checked) == ("mismatch", 7, 40)
+    assert report.direct is bad and report.predicted.quotients == good.quotients
+
+    def stalled(_spec, _n):
+        raise ConvergenceError("stalled")
+
+    monkeypatch.setattr(perfect, "expand_alpha", stalled)
+    report = differential_verify(spec, 40)
+    assert (report.status, report.first_mismatch, report.n_checked) == ("inconclusive", None, 0)
+    assert report.direct is None and report.predicted.quotients == good.quotients
+    assert report.perfect is True and report.case == CASE_OPEN
 
 
 def test_consistency_suite_all_green():
