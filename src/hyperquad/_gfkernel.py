@@ -226,6 +226,11 @@ def mult_matrix(field, c_row) -> np.ndarray:
 
 def row_inverse(field, c_row):
     """Coordinate row of the inverse field element."""
+    if field.s == 1:
+        c = int(c_row[0]) % field.p
+        if c == 0:
+            raise ZeroDivisionError("inverse of zero field element")
+        return (pow(c, -1, field.p),)
     return field.el(c_row).inverse().coeffs
 
 

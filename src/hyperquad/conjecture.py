@@ -16,12 +16,25 @@ and minus never vanish (theta b +- a = 0 would make u = -+theta) and no
 child is a pole or a constant; the only children left out are those
 past the degree cap.  The factors of a and b were recorded with the
 parent, so a node factors only plus and minus.  Every monic irreducible
-dividing a numerator or denominator along the way is collected, and
-the haul is compared against the full census of irreducibles whose
-degree is a power of two.  The inclusion (only power-of-two degrees
-show up) is proved; equality is the open question this explorer
-probes.  A numeric companion walks the same maps on finite-field
-elements, twisted by a Frobenius power, and records element degrees.
+dividing a numerator or denominator along the way is collected with the
+first orbit index that shows it, and the haul is compared against the
+full census of irreducibles whose degree is a power of two.  The
+inclusion (only power-of-two degrees show up) is proved; equality is
+the open question this explorer probes.
+
+Each distinct monic part is factored once per walk.  The walk records
+nodes in increasing orbit index: generation g covers the interval
+[(3^g+1)/2, (3^(g+1)-1)/2], the frontier is visited in sorted order, and
+the children 3n-1, 3n, 3n+1 increase with n.  So a part seen before had
+its irreducibles recorded at a smaller index, which seen_factors keeps,
+and skipping it changes nothing.  Repeats are common.  Some are
+structural: as theta + 1 = -theta, the h_0 child (a, plus) has plus
+theta plus + a = theta^2 b - theta a = theta minus, and the h_2 child
+(a, minus) has minus theta minus - a = theta plus.  Low-degree parts
+also recur often in small fields.
+
+A numeric companion walks the same maps on finite-field elements,
+twisted by a Frobenius power, and records element degrees.
 """
 
 from __future__ import annotations
@@ -65,8 +78,8 @@ class OrbitLedger:
     (a, b) keyed by orbit index: h_0 and h_2 keep a node's degree
     max(deg a, deg b) and h_1 doubles it, so the whole tree would sink
     the explorer.  Factors live in seen_factors with the orbit index that
-    first produced them; dropped lists the children cut by the degree
-    cap.
+    first produced them, and factored holds the monic parts already
+    factored; dropped lists the children cut by the degree cap.
     """
 
     p: int
@@ -74,6 +87,7 @@ class OrbitLedger:
     theta: FieldElement
     frontier: dict[int, tuple[Poly, Poly]]
     seen_factors: dict[Poly, int]
+    factored: set[Poly]
     dropped: list[tuple[int, str]]
     depth: int
     nodes: int
@@ -84,9 +98,12 @@ class OrbitLedger:
 
 def _record_factors(ledger: OrbitLedger, index: int, *parts: Poly) -> None:
     for part in parts:
-        if part.degree() >= 1:
-            for irr, _mult in factor(part).factors:
-                ledger.seen_factors.setdefault(irr, index)
+        key = part.monic()
+        if key.degree() < 1 or key in ledger.factored:
+            continue
+        ledger.factored.add(key)
+        for irr, _mult in factor(key).factors:
+            ledger.seen_factors.setdefault(irr, index)
 
 
 def new_ledger(
@@ -108,6 +125,7 @@ def new_ledger(
         theta=pair.theta,
         frontier={1: (x, Poly.one(field))},
         seen_factors={},
+        factored=set(),
         dropped=[],
         depth=0,
         nodes=1,
@@ -124,10 +142,13 @@ def step_orbit(ledger: OrbitLedger) -> OrbitLedger:
 
     Frontier node n = (a, b) gets the coprime children (a, plus),
     (ab, plus minus) and (a, minus) of the module docstring at orbit
-    indices 3n-1, 3n, 3n+1, built without a gcd; plus and minus are
-    factored at most once each, at the first kept child that contains
-    them.  A child beyond the degree cap is logged in `dropped` and
-    spawns nothing, with the truncation flag raised.
+    indices 3n-1, 3n, 3n+1, built without a gcd.  Each child hands its
+    new parts (plus, minus or both) to the ledger, which factors a part
+    only if its monic form was not factored before in this walk: nodes
+    are visited in increasing orbit index, so a repeat's irreducibles
+    are already recorded at a smaller index (see the module docstring).
+    A child beyond the degree cap is logged in `dropped` and spawns
+    nothing, with the truncation flag raised.
     """
     demand = 3 * len(ledger.frontier)
     if ledger.nodes + demand > ledger.budget:
@@ -138,19 +159,18 @@ def step_orbit(ledger: OrbitLedger) -> OrbitLedger:
         a, b = ledger.frontier[n]
         tb = b.scaled(ledger.theta)
         plus, minus = tb + a, tb - a
-        fresh = {"plus": plus, "minus": minus}
         children = (
-            (a, plus, ("plus",)),
-            (a * b, plus * minus, ("plus", "minus")),
-            (a, minus, ("minus",)),
+            (a, plus, (plus,)),
+            (a * b, plus * minus, (plus, minus)),
+            (a, minus, (minus,)),
         )
-        for i, (num, den, holds) in enumerate(children):
+        for i, (num, den, parts) in enumerate(children):
             index = 3 * n - 1 + i
             if max(num.degree(), den.degree()) > ledger.degree_cap:
                 ledger.dropped.append((index, "degree-cap"))
                 ledger.truncated = True
                 continue
-            _record_factors(ledger, index, *(fresh.pop(h) for h in holds if h in fresh))
+            _record_factors(ledger, index, *parts)
             nxt[index] = (num, den)
             ledger.nodes += 1
     ledger.frontier = nxt

@@ -13,7 +13,7 @@ quotient by quotient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 
 from . import contfrac
 from ._gfkernel import frobenius_spread

@@ -348,6 +348,63 @@ def test_at_most_two_factorizations_per_frontier_node(monkeypatch, p, depth):
         assert len(calls) - before <= 2 * frontier
 
 
+def _distinct_monic_parts(p, depth):
+    """Distinct monic parts of a walk from x, by a test-side walk with no cap."""
+    pair = build_seedpair(p, 1, 1)
+    x = Poly.monomial(pair.field, 1)
+    parts, frontier = {x}, [(x, Poly.one(pair.field))]
+    for _ in range(depth):
+        nxt = []
+        for a, b in frontier:
+            tb = b.scaled(pair.theta)
+            plus, minus = tb + a, tb - a
+            parts |= {q.monic() for q in (plus, minus) if q.degree() >= 1}
+            nxt += [(a, plus), (a * b, plus * minus), (a, minus)]
+        frontier = nxt
+    return len(parts)
+
+
+@pytest.mark.parametrize("p,depth,calls", [(3, 5, 35), (5, 5, 61), (7, 4, 37)])
+def test_each_distinct_monic_part_is_factored_once(monkeypatch, p, depth, calls):
+    # the benchmark's orbit requests; factoring each node's plus and minus
+    # once would take 223, 219 and 77 calls, every part it is handed 445,
+    # 437 and 153, and keying the parts without monic() 114 at p = 5 and
+    # 65 at p = 7
+    made = []
+    real = _gfkernel.factor
+
+    def counting(f, field):
+        made.append(f.tobytes())
+        return real(f, field)
+
+    monkeypatch.setattr(_gfkernel, "factor", counting)
+    run_conjecture(p, depth, 3)
+    assert len(made) == calls == _distinct_monic_parts(p, depth)
+    assert len(set(made)) == calls
+
+
+def test_outer_children_share_a_part_with_their_parent():
+    # with theta = -1/2 the h_0 child's plus is theta times its parent's
+    # minus, and the h_2 child's minus theta times its parent's plus
+    for p, depth, budget, degree_cap in WALK_CASES:
+        led = new_ledger(p, budget=budget, degree_cap=degree_cap)
+        theta = led.theta
+        for _ in range(min(depth, 5)):
+            parents, before = dict(led.frontier), led.depth
+            led = step_orbit(led)
+            if led.depth == before:
+                break  # budget exhausted
+            for n, (a, b) in parents.items():
+                tb = b.scaled(theta)
+                plus, minus = tb + a, tb - a
+                if 3 * n - 1 in led.frontier:
+                    a0, b0 = led.frontier[3 * n - 1]
+                    assert b0.scaled(theta) + a0 == minus.scaled(theta)
+                if 3 * n + 1 in led.frontier:
+                    a2, b2 = led.frontier[3 * n + 1]
+                    assert b2.scaled(theta) - a2 == plus.scaled(theta)
+
+
 # -- numeric companion -------------------------------------------------------
 
 

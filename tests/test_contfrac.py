@@ -5,7 +5,6 @@ import pytest
 
 from hyperquad import exactq
 from hyperquad.contfrac import (
-    ExpansionRecord,
     UndefinedBracketError,
     eval_finite_constants,
     expand_rational,

@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from hyperquad import ffield
 from hyperquad.ffield import (
     FieldConstructionError,
     FieldParseError,

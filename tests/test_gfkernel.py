@@ -248,6 +248,27 @@ def test_mult_matrix_matches_loop(p, s):
         assert np.array_equal(k.mult_matrix(field, np.array(row)), got)
 
 
+@pytest.mark.parametrize("p", (3, 13, 65521, P_LARGE))
+def test_prime_field_row_inverse_matches_field_element(p):
+    # the s = 1 path inverts the integer directly; every unit of the small
+    # fields and a sample of the large ones, as tuples and as block rows
+    field = make_field(p, 1)
+    if p < 100:
+        units = range(1, p)
+    else:
+        units = [1, 2, p - 1] + [int(v) for v in np.random.default_rng(p).integers(1, p, size=200)]
+    for c in units:
+        want = FieldElement(field, (c,)).inverse().coeffs
+        got = k.row_inverse(field, (c,))
+        assert got == want and type(got[0]) is int
+        assert k.row_inverse(field, np.array([c], dtype=np.int64)) == want
+    for zero in ((0,), np.zeros(1, dtype=np.int64)):
+        with pytest.raises(ZeroDivisionError, match="inverse of zero field element"):
+            k.row_inverse(field, zero)
+    with pytest.raises(ZeroDivisionError, match="inverse of zero field element"):
+        FieldElement(field, (0,)).inverse()
+
+
 @pytest.mark.parametrize("p, s", [(3, 2), (3, 3), (5, 2), (7, 3)])
 def test_frobenius_matrix_is_cached_per_field(p, s):
     field = make_field(p, s)
