@@ -54,6 +54,14 @@ series_inv's Newton iteration, which is exact over F_q[[x]]: it doubles
 the number of correct rows each step, and every product it and the
 reversal take goes through mul above.  The remainder is then
 a - q*b on the low db rows.
+
+Long division over F_q with s > 1 multiplies the divisor by one quotient
+coefficient per row.  Multiplication by a fixed field element is
+F_p-linear, so divmod_block forms the matrix of each divisor coefficient
+once, as the (db+1, s, s) tensor bm with bm[j] = mult_matrix(b[j]), and a
+quotient row c then subtracts bm @ c, the rows of c*b.  Its entries are
+the same sums mult_matrix forms (s products below p^2 each, reduced mod
+p), so every row is the exact product.
 """
 
 from __future__ import annotations
@@ -217,11 +225,15 @@ def frobenius_spread(a: np.ndarray, t: int, field) -> np.ndarray:
 
 
 def mult_matrix(field, c_row) -> np.ndarray:
-    """Matrix M over F_p with M @ coords(x) = coords(c * x)."""
+    """Matrix M over F_p with M @ coords(x) = coords(c * x).
+
+    For an (m, s) array of coordinate rows, the (m, s, s) stack of their
+    matrices."""
     s = field.s
     # row j of c @ table is c * u^j written in the basis: column j of M
     c = np.asarray(c_row, dtype=np.int64)
-    return (c @ field._mul_table.reshape(s, s * s)).reshape(s, s).T % field.p
+    m = (c @ field._mul_table.reshape(s, s * s)).reshape(*c.shape[:-1], s, s)
+    return np.swapaxes(m, -1, -2) % field.p
 
 
 def row_inverse(field, c_row):
@@ -310,13 +322,13 @@ def divmod_block(a: np.ndarray, b: np.ndarray, field):
                 acol[i - db : i + 1] = (acol[i - db : i + 1] - c * bcol) % p
         return q, trim(a[:db])
     inv_m = mult_matrix(field, inv_lead)
+    bm = mult_matrix(field, b)  # bm @ c holds the rows of c * b
     for i in range(da, db - 1, -1):
         lead = a[i]
         if lead.any():
             c = inv_m @ lead % p
             q[i - db] = c
-            cm = mult_matrix(field, c)
-            a[i - db : i + 1] = (a[i - db : i + 1] - b @ cm.T) % p
+            a[i - db : i + 1] = (a[i - db : i + 1] - bm @ c) % p
     return q, trim(a[:db])
 
 

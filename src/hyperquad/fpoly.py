@@ -91,12 +91,19 @@ class Poly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coefficient(self.degree())
 
-    def embedded(self, field: FieldDesc) -> "Poly":
-        """This polynomial over F_p (or over field itself) as one over field."""
-        if self.field is field:
-            return self
-        check_embedding(self.field, field)
-        return Poly.from_block(field, np.pad(self._block, ((0, 0), (0, field.s - 1))))
+    def scaled_into(self, c: FieldElement) -> "Poly":
+        """This polynomial over F_p times c, as a polynomial over c's field.
+
+        An F_p coefficient a times c has coordinates a * coords(c), so the
+        product block is the outer product of the coefficient column with
+        coords(c), mod p.  For c != 0 the top row a * coords(c) is nonzero,
+        a being a unit of F_p, so the block is in normal form.
+        """
+        check_embedding(self.field, c.field)
+        if c.is_zero():
+            return Poly.zero(c.field)
+        row = np.array(c.coeffs, dtype=np.int64)
+        return Poly.from_block(c.field, self._block * row % c.field.p)
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -150,19 +150,14 @@ def _head_continuants(spec: TypeSpec) -> tuple[list[Poly], list[Poly]]:
     return rec.numerators, rec.denominators
 
 
-def _seed_polys(spec: TypeSpec) -> tuple[Poly, Poly]:
-    sp = build_seedpair(spec.p, spec.t, spec.k)
-    return sp.Pk.embedded(spec.field), sp.Qk.embedded(spec.field)
-
-
 def build_equation(spec: TypeSpec) -> AlgebraicEquation:
     """The degree r+1 equation whose unique large root is alpha, with its
     coefficients in literal (unscaled) form."""
-    Pk, Qk = _seed_polys(spec)
+    sp = build_seedpair(spec.p, spec.t, spec.k)
     xs, ys = _head_continuants(spec)
     l = spec.l
-    e1P = Pk.scaled(spec.eps1)
-    e2Q = Qk.scaled(spec.eps2)
+    e1P = sp.Pk.scaled_into(spec.eps1)
+    e2Q = sp.Qk.scaled_into(spec.eps2)
     return AlgebraicEquation(
         field=spec.field,
         r=spec.r,

@@ -9,6 +9,21 @@ lambda with their case split (closed case: the gamma obstruction
 vanishes; open case: gamma must avoid poles and zeros forever), builds
 the predicted expansion, and verifies it against the direct engine
 quotient by quotient.
+
+The tower depends only on the seed pair (p, t, k), and build_tower makes
+level j + 1 from level j alone, so a tower of depth d is a prefix of every
+deeper one.  _tower keeps the deepest tower built per (p, t, k) and hands
+out prefixes of it as fresh lists.  The first request for a pair calls
+build_tower; a deeper request later grows the memo from its top level,
+so each level is built once per pair.  _grow checks the degree cap before
+it appends a level, so a BudgetError leaves the memo a correct tower.
+
+The tower lies over F_p and each predicted quotient lambda_n * A_i(n) over
+F_q.  Poly.scaled_into makes that product as one outer product of A's
+coefficient column with the coordinates of lambda_n, mod p: an F_p
+coefficient times an F_q element scales each coordinate.  A is monic and
+lambda_n != 0, so the top row is coords(lambda_n) and the block is in
+normal form.  The shape test of a direct quotient uses the same rule.
 """
 
 from __future__ import annotations
@@ -92,14 +107,22 @@ class IndexMachinery:
         return out
 
 
+# deepest tower built so far per (p, t, k); _tower reads it
+_towers: dict[tuple[int, int, int], list[Poly]] = {}
+
+
 def build_tower(pair: SeedPair, depth: int) -> list[Poly]:
     """A_1..A_depth over F_p: A_1 = T, then polynomial parts of A^r/Pk.
 
     When deg Pk = r - 1 the division is degree-neutral and the tower is
     constant T; otherwise degrees grow by a factor close to r per level.
     """
+    return _grow(pair, [Poly.monomial(pair.field, 1)], depth)
+
+
+def _grow(pair: SeedPair, A: list[Poly], depth: int) -> list[Poly]:
+    """A, grown in place to depth levels, each made from the one below."""
     r = pair.p**pair.t
-    A = [Poly.monomial(pair.field, 1)]
     while len(A) < depth:
         top = A[-1]
         d = top.degree() * r
@@ -112,6 +135,17 @@ def build_tower(pair: SeedPair, depth: int) -> list[Poly]:
         spread = frobenius_spread(top.block(), pair.t, pair.field)
         A.append(Poly.from_block(pair.field, spread) // pair.Pk)
     return A
+
+
+def _tower(pair: SeedPair, depth: int) -> list[Poly]:
+    """A_1..A_depth over F_p, a fresh list read off the memo (module docstring)."""
+    key = (pair.p, pair.t, pair.k)
+    tower = _towers.get(key)
+    if tower is None:
+        tower = _towers[key] = build_tower(pair, depth)
+    else:
+        _grow(pair, tower, depth)
+    return tower[:depth]
 
 
 @dataclass(frozen=True)
@@ -243,6 +277,8 @@ def generate_sequences(spec: TypeSpec, n_max: int):
     case = classify_case(spec, deltas[l])
 
     e1r = frobenius(spec.eps1, t)
+    v = [embed(F, c) for c in pair.v]
+    g_at_zero = [embed(F, c) for c in pair.g_at_zero]
     gammas: dict[int, FieldElement] = {}
     C0 = None
     if case == CASE_OPEN:
@@ -279,14 +315,17 @@ def generate_sequences(spec: TypeSpec, n_max: int):
             if m > n_max:
                 break
             i_even = i % 2 == 0
-            try:
-                gval = eval_g(pair, i, x)
-            except UndefinedValueError:
-                return NotPerfect(
-                    index=m,
-                    reason="pole-of-g",
-                    detail=f"g_{i} has a pole at gamma_{n}^r",
-                )
+            if case == CASE_CLOSED:  # x = 0, so g_i(x) is a pair constant
+                gval = g_at_zero[i]
+            else:
+                try:
+                    gval = eval_g(pair, i, x)
+                except UndefinedValueError:
+                    return NotPerfect(
+                        index=m,
+                        reason="pole-of-g",
+                        detail=f"g_{i} has a pole at gamma_{n}^r",
+                    )
             d_new = (
                 _power_sign(e1r, n_even == i_even)
                 * _power_sign(dn_r, i_even)
@@ -322,7 +361,7 @@ def generate_sequences(spec: TypeSpec, n_max: int):
                 lambdas[m] = _power_sign(spec.eps1, n_even) * lam_r
             else:
                 lambdas[m] = -(
-                    embed(F, pair.v[i - 1])
+                    v[i - 1]
                     * _power_sign(spec.eps1, n_even == i_even)
                     * _power_sign(deltas[n], i_even)
                 )
@@ -343,14 +382,6 @@ def generate_sequences(spec: TypeSpec, n_max: int):
     )
 
 
-def _tower_over(
-    field: FieldDesc, pair: SeedPair, idx: IndexMachinery, n_max: int
-) -> list[Poly]:
-    """The tower A_1.. as deep as indices 1..n_max need, embedded in field."""
-    depth = max(idx.i(n) for n in range(1, n_max + 1))
-    return [A.embedded(field) for A in build_tower(pair, depth)]
-
-
 def predict_expansion(spec: TypeSpec, n_max: int):
     """Quotients lambda_n * A_{i(n)} for n <= n_max, or NotPerfect."""
     seqs = generate_sequences(spec, n_max)
@@ -362,13 +393,12 @@ def predict_expansion(spec: TypeSpec, n_max: int):
 def predicted_record_from(seqs: PerfectSequences, n_max: int) -> ExpansionRecord:
     if n_max > seqs.n_max:
         raise ValueError("sequences were not generated far enough")
-    F = seqs.spec.field
-    idx = seqs.index
-    tower = _tower_over(F, seqs.pair, idx, n_max)
+    levels = [seqs.index.i(n) for n in range(1, n_max + 1)]
+    tower = _tower(seqs.pair, max(levels))
     quotients = [
-        tower[idx.i(n) - 1].scaled(seqs.lambdas[n]) for n in range(1, n_max + 1)
+        tower[i - 1].scaled_into(seqs.lambdas[n]) for n, i in enumerate(levels, 1)
     ]
-    return contfrac.predicted_record(F, quotients)
+    return contfrac.predicted_record(seqs.spec.field, quotients)
 
 
 # -- differential verification ----------------------------------------------
@@ -391,10 +421,10 @@ class MatchReport:
 
 
 def _scalar_quotient_shape(q: Poly, A: Poly) -> bool:
-    """Is q a nonzero scalar multiple of the (monic) tower polynomial?"""
+    """Is q a nonzero scalar multiple of the (monic, F_p) tower polynomial?"""
     if q.degree() != A.degree():
         return False
-    return q == A.scaled(q.leading())
+    return q == A.scaled_into(q.leading())
 
 
 def differential_verify(spec: TypeSpec, n_max: int) -> MatchReport:
@@ -467,9 +497,10 @@ def differential_verify(spec: TypeSpec, n_max: int) -> MatchReport:
 
 def _first_shape_break(direct: ExpansionRecord, spec: TypeSpec, idx) -> int | None:
     pair = build_seedpair(spec.p, spec.t, spec.k)
-    tower = _tower_over(spec.field, pair, idx, len(direct))
-    for n, q in enumerate(direct.quotients, start=1):
-        if not _scalar_quotient_shape(q, tower[idx.i(n) - 1]):
+    levels = [idx.i(n) for n in range(1, len(direct) + 1)]
+    tower = _tower(pair, max(levels))
+    for n, (q, i) in enumerate(zip(direct.quotients, levels), start=1):
+        if not _scalar_quotient_shape(q, tower[i - 1]):
             return n
     return None
 

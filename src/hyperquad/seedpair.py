@@ -10,9 +10,9 @@ identities checkable as exact polynomial statements.
 
 Every constant of the families is reduced into F_p once, when the pair
 is built: the middle g scalars 2k theta v_i i/(2k-2i+1) are kept as
-SeedPair.g_scalars and the h scalars (-1)^i binom(2k, i) as
-SeedPair.h_scalars.  Field evaluations read them and embed them into the
-working field F_q with ffield.embed.
+SeedPair.g_scalars, the values g_i(0) as SeedPair.g_at_zero and the h
+scalars (-1)^i binom(2k, i) as SeedPair.h_scalars.  Field evaluations
+read them and embed them into the working field F_q with ffield.embed.
 """
 
 from __future__ import annotations
@@ -100,6 +100,11 @@ class SeedPair:
     families come with the pair: g_scalars has length 2k - 1 (entry i-1
     holds 2k theta v_i i/(2k-2i+1) for the middle member g_i) and
     h_scalars has length 2k + 1 (entry i holds (-1)^i binom(2k, i)).
+    g_at_zero has length 2k + 1 and holds g_i(0) = eval_g(pair, i, 0):
+    theta for g_0 = theta + X, theta^-1 for g_2k = 1/(theta - X), and
+    g_scalars[i-1] for a middle member, whose factor
+    (theta + w_i X)/(theta + w_(i-1) X) is 1 at X = 0.  theta is a unit,
+    so no member has a pole at 0.
     """
 
     p: int
@@ -112,6 +117,7 @@ class SeedPair:
     w: tuple[FieldElement, ...]
     b: tuple[FieldElement, ...]
     g_scalars: tuple[FieldElement, ...]
+    g_at_zero: tuple[FieldElement, ...]
     h_scalars: tuple[FieldElement, ...]
     Pk: Poly
     Qk: Poly
@@ -206,7 +212,8 @@ def build_seedpair(p: int, t: int, k: int) -> SeedPair:
     return SeedPair(
         p=p, t=t, k=k, field=field,
         v=v, theta=theta, omega=omega, w=w, b=b,
-        g_scalars=g_scalars, h_scalars=h_scalars, Pk=Pk, Qk=Qk,
+        g_scalars=g_scalars, g_at_zero=(theta, *g_scalars, theta.inverse()),
+        h_scalars=h_scalars, Pk=Pk, Qk=Qk,
     )
 
 

@@ -1,10 +1,13 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
+from hyperquad._gfkernel import mult_matrix
 from hyperquad.ffield import (
     FieldConstructionError,
+    FieldDesc,
     FieldParseError,
     UnsupportedCharacteristicError,
     degree_over_prime,
@@ -287,6 +290,26 @@ def test_display_text_of_f9():
     assert [format_element(x) for x in order_4_u.elements()] == [
         "0", "u", "-u", "1", "1,1", "1,2", "-1", "2,1", "2,2",
     ]
+
+
+# F_9 with u primitive and with u of order 4, F_3^10 and F_251^2 (neither u
+# primitive; the first primitive elements() reaches is the 35th and 257th)
+@pytest.mark.parametrize("spec", [(3, 2, (2, 2, 1)), (3, 2, (1, 0, 1)), (3, 10, None), (251, 2, None)])
+def test_power_tables_list_each_unit_once(spec):
+    # a fresh descriptor, so the tables are built here and not read off the cache
+    field = FieldDesc(*spec[:2], make_field(*spec).modulus)
+    n, p = field.order - 1, field.p
+    exp = field._exp
+    assert len(exp) == 2 * n and exp[:n] == exp[n:]
+    rows = np.array(exp[:n], dtype=np.int64)
+    # row k + 1 is g times row k, cyclically, so g = exp[1] has order n
+    g = mult_matrix(field, rows[1])
+    assert (rows @ g.T % p == np.roll(rows, -1, axis=0)).all()
+    assert exp[0] == field.one.coeffs
+    assert len(set(exp[:n])) == n and not any(set(exp[:n]) & {field.zero.coeffs})
+    assert field._log == {c: i for i, c in enumerate(exp[:n])}
+    if spec[2] == (2, 2, 1):
+        assert exp[1] == field.u.coeffs
 
 
 @pytest.mark.parametrize("p, s", [(5, 1), (3, 2), (257, 2)])

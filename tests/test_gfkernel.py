@@ -246,6 +246,46 @@ def test_mult_matrix_matches_loop(p, s):
         got = k.mult_matrix(field, row)
         assert np.array_equal(got, mult_matrix_loop(field, row))
         assert np.array_equal(k.mult_matrix(field, np.array(row)), got)
+    stack = k.mult_matrix(field, np.array(rows))
+    assert stack.shape == (len(rows), s, s)
+    for row, m in zip(rows, stack):
+        assert np.array_equal(m, mult_matrix_loop(field, row))
+
+
+def divmod_row_loop(a, b, field):
+    """The former long division for s > 1: one mult_matrix per quotient row."""
+    p, s = field.p, field.s
+    db, da = b.shape[0] - 1, a.shape[0] - 1
+    if da < db:
+        return np.zeros((0, s), dtype=np.int64), a
+    a = a.copy()
+    inv_m = mult_matrix_loop(field, field.el(b[db]).inverse().coeffs)
+    q = np.zeros((da - db + 1, s), dtype=np.int64)
+    for i in range(da, db - 1, -1):
+        if a[i].any():
+            c = inv_m @ a[i] % p
+            q[i - db] = c
+            cm = mult_matrix_loop(field, [int(v) for v in c])
+            a[i - db : i + 1] = (a[i - db : i + 1] - b @ cm.T) % p
+    return q, k.trim(a[:db])
+
+
+@pytest.mark.parametrize("p, s", [(3, 2), (3, 3), (5, 3), (7, 3)])
+def test_divmod_block_matches_row_loop(p, s):
+    field = make_field(p, s)
+    rng = np.random.default_rng(1000 * p + s)
+    for _ in range(60):
+        da, db = sorted(int(d) for d in rng.integers(0, 65, size=2))[::-1]
+        if rng.random() < 0.2:
+            da, db = db, da  # a shorter dividend, returned as the remainder
+        a = k.trim(rng.integers(0, p, size=(da + 1, s)))
+        b = rng.integers(0, p, size=(db + 1, s))
+        b[db, rng.integers(0, s)] = rng.integers(1, p)
+        assert k.div_path(da, db, field) == "long"
+        q, r = k.divmod_block(a, b, field)
+        q_ref, r_ref = divmod_row_loop(a, b, field)
+        assert np.array_equal(q, q_ref) and np.array_equal(r, r_ref)
+        assert is_normal(q, field) and is_normal(r, field)
 
 
 @pytest.mark.parametrize("p", (3, 13, 65521, P_LARGE))

@@ -14,6 +14,7 @@ import random
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hyperquad import contfrac, hyper, perfect
@@ -25,12 +26,21 @@ from hyperquad.hyper import (
     build_equation,
     expand_alpha,
     _head_continuants,
-    _seed_polys,
 )
 from hyperquad.laurent import LaurentSeries
-from hyperquad.seedpair import admissible_set
+from hyperquad.seedpair import admissible_set, build_seedpair
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
+def _seed_polys(spec):
+    """Pk and Qk over the spec field by the former embedding: each F_p
+    coefficient padded with zero coordinates, not Poly.scaled_into."""
+    sp = build_seedpair(spec.p, spec.t, spec.k)
+    pad = ((0, 0), (0, spec.field.s - 1))
+    return tuple(
+        Poly.from_block(spec.field, np.pad(f.block(), pad)) for f in (sp.Pk, sp.Qk)
+    )
 
 
 def corollary_spec():

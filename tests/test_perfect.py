@@ -10,13 +10,14 @@ import json
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hyperquad import perfect
 from hyperquad.contfrac import ExpansionRecord
 from hyperquad.ffield import degree_over_prime, f27_preset, make_field
 from hyperquad.fpoly import Poly
-from hyperquad.hyper import ConvergenceError, TypeSpec
+from hyperquad.hyper import ConvergenceError, TypeSpec, expand_alpha
 from hyperquad.perfect import (
     CASE_CLOSED,
     CASE_OPEN,
@@ -136,6 +137,156 @@ def test_tower_spread_equals_power_by_squaring():
         while len(want) < depth:
             want.append((want[-1] ** (p**t)) // pair.Pk)
         assert build_tower(pair, depth) == want, (p, t, k)
+
+
+@pytest.fixture
+def build_spy(monkeypatch):
+    """An empty tower memo; the (p, t, k, depth) of every build_tower call
+    and the (p, t, k, from, to) of every run of _grow, the level loop, that
+    has a level to add."""
+    monkeypatch.setattr(perfect, "_towers", {})
+    builds, grows = [], []
+    real_build, real_grow = perfect.build_tower, perfect._grow
+
+    def counting_build(pair, depth):
+        builds.append((pair.p, pair.t, pair.k, depth))
+        return real_build(pair, depth)
+
+    def counting_grow(pair, A, depth):
+        if len(A) < depth:
+            grows.append((pair.p, pair.t, pair.k, len(A), depth))
+        return real_grow(pair, A, depth)
+
+    monkeypatch.setattr(perfect, "build_tower", counting_build)
+    monkeypatch.setattr(perfect, "_grow", counting_grow)
+    return builds, grows
+
+
+def test_tower_memo_builds_each_level_once_per_pair(build_spy):
+    builds, grows = build_spy
+    # c shares (p, t) with a, and its tower is constant T
+    a, b, c = build_seedpair(5, 1, 1), build_seedpair(7, 2, 1), build_seedpair(5, 1, 2)
+    want = {pair: perfect.build_tower(pair, 4) for pair in (a, b, c)}
+    builds.clear(), grows.clear()
+    asks = [(a, 3), (b, 2), (a, 1), (c, 3), (a, 3), (b, 2), (a, 4), (c, 2), (b, 1), (a, 4)]
+    for pair, depth in asks:
+        assert perfect._tower(pair, depth) == want[pair][:depth]
+    # one build per pair; the deeper ask for a grows its memo from level 3
+    assert builds == [(5, 1, 1, 3), (7, 2, 1, 2), (5, 1, 2, 3)]
+    assert grows == [(5, 1, 1, 1, 3), (7, 2, 1, 1, 2), (5, 1, 2, 1, 3), (5, 1, 1, 3, 4)]
+
+
+def test_tower_memo_through_requests(build_spy):
+    builds, grows = build_spy
+    spec = corollary_spec()
+    for n in (5, 40, 14, 2, 40):
+        predict_expansion(spec, n)
+        differential_verify(spec, n)
+    # depth 3 for n = 5, then 4 for n = 40; smaller asks read prefixes
+    assert builds == [(3, 1, 1, 3)]
+    assert grows == [(3, 1, 1, 1, 3), (3, 1, 1, 3, 4)]
+
+
+def test_tower_memo_never_keeps_a_budget_error(build_spy):
+    builds, grows = build_spy
+    pair = build_seedpair(7, 2, 1)  # A_5 would pass the degree cap
+    with pytest.raises(BudgetError):
+        perfect._tower(pair, 5)
+    want = perfect.build_tower(pair, 4)
+    builds.clear(), grows.clear()
+    assert perfect._tower(pair, 3) == want[:3]
+    for _ in range(2):
+        with pytest.raises(BudgetError):
+            perfect._tower(pair, 5)
+    # the first past-cap ask still adds A_4, which is below the cap
+    assert builds == [(7, 2, 1, 3)]
+    assert grows == [(7, 2, 1, 1, 3), (7, 2, 1, 3, 5), (7, 2, 1, 4, 5)]
+    assert perfect._tower(pair, 4) == want and len(grows) == 3
+
+
+def test_tower_memo_hands_out_fresh_lists(build_spy):
+    builds, _ = build_spy
+    pair = build_seedpair(5, 1, 1)
+    want = perfect.build_tower(pair, 3)
+    got = perfect._tower(pair, 3)
+    got[0] = Poly.zero(pair.field)
+    got.append(Poly.one(pair.field))
+    del perfect._tower(pair, 2)[:]
+    assert perfect._tower(pair, 3) == want
+    assert perfect._tower(pair, 4)[:3] == want
+    assert len(builds) == 2
+
+
+# -- F_p tower times an F_q scalar -----------------------------------------
+#
+# The references are the former path: each tower polynomial embedded into
+# F_q by padding its F_p coefficients with zero coordinates, then scaled
+# by Poly.scaled (the kernel's multiplication matrix).
+
+
+def _former_embed(f: Poly, field) -> Poly:
+    return Poly.from_block(field, np.pad(f.block(), ((0, 0), (0, field.s - 1))))
+
+
+def _former_shape(q: Poly, A: Poly) -> bool:
+    A = _former_embed(A, q.field)
+    return q.degree() == A.degree() and q == A.scaled(q.leading())
+
+
+def _random_specs(p, s, seed, count, perfect_only):
+    F = make_field(p, s)
+    rng = random.Random(seed)
+    elements = list(F.nonzero_elements())
+    out = []
+    while len(out) < count:
+        lambdas = (rng.choice(elements), rng.choice(elements))
+        eps1, eps2 = rng.choice(elements), rng.choice(elements)
+        if not perfect_only:
+            try:
+                lambdas = (lambdas[0], degenerate_next_lambda(F, 1, 1, lambdas[:1], eps2))
+            except ValueError:  # the head already breaks at index 1
+                continue
+        spec = TypeSpec(field=F, t=1, k=1, lambdas=lambdas, eps1=eps1, eps2=eps2)
+        if perfect_only == isinstance(generate_sequences(spec, 30), PerfectSequences):
+            out.append(spec)
+    return out
+
+
+@pytest.mark.parametrize("s", (1, 2, 3))
+def test_predicted_quotients_match_former_embed_then_scale(s):
+    for spec in _random_specs(5, s, seed=11 * s, count=4, perfect_only=True):
+        seqs = generate_sequences(spec, 30)
+        idx = seqs.index
+        tower = build_tower(seqs.pair, max(idx.i(n) for n in range(1, 31)))
+        want = [
+            _former_embed(tower[idx.i(n) - 1], spec.field).scaled(seqs.lambdas[n])
+            for n in range(1, 31)
+        ]
+        got = perfect.predicted_record_from(seqs, 30).quotients
+        assert got == want
+        assert max(q.degree() for q in got) > 1
+        for q in got:  # normal form: entries in [0, p), nonzero top row
+            b = q.block()
+            assert b.shape[1] == s and b[-1].any() and 0 <= b.min() and b.max() < 5
+
+
+@pytest.mark.parametrize("s", (1, 2, 3))
+def test_first_shape_break_matches_former_embed_then_scale(s):
+    for spec in _random_specs(5, s, seed=13 * s, count=3, perfect_only=False):
+        direct = expand_alpha(spec, 30)
+        idx = IndexMachinery(spec.k, spec.l)
+        pair = build_seedpair(spec.p, spec.t, spec.k)
+        tower = build_tower(pair, max(idx.i(n) for n in range(1, 31)))
+        shapes = [
+            perfect._scalar_quotient_shape(q, tower[idx.i(n) - 1])
+            for n, q in enumerate(direct.quotients, 1)
+        ]
+        want = [
+            _former_shape(q, tower[idx.i(n) - 1])
+            for n, q in enumerate(direct.quotients, 1)
+        ]
+        assert shapes == want and not all(shapes)
+        assert perfect._first_shape_break(direct, spec, idx) == shapes.index(False) + 1
 
 
 # -- worked F_27 target ------------------------------------------------------
@@ -293,6 +444,22 @@ def test_closed_case_sequences_and_match():
     report = differential_verify(spec, 30)
     assert report.status == "match"
     assert report.case == CASE_CLOSED
+
+
+def test_closed_case_reads_g_at_zero_without_eval_g(monkeypatch):
+    calls = []
+    real = perfect.eval_g
+
+    def counting(pair, i, x):
+        calls.append(i)
+        return real(pair, i, x)
+
+    monkeypatch.setattr(perfect, "eval_g", counting)
+    seqs = generate_sequences(closed_case_spec(), 60)
+    assert seqs.case == CASE_CLOSED and calls == []
+    assert all(consistency_suite(seqs).values())
+    assert generate_sequences(corollary_spec(), 60).case == CASE_OPEN
+    assert calls
 
 
 # -- breakdown targets -------------------------------------------------------

@@ -122,6 +122,15 @@ def test_g_endpoint_values():
             assert eval_h(sp, i, zero).is_zero()
 
 
+@pytest.mark.parametrize("p,t,k", GRID)
+def test_g_at_zero_is_eval_g_at_zero(p, t, k):
+    # GRID spans the (p, t) pairs of the acceptance grid
+    sp = build_seedpair(p, t, k)
+    assert len(sp.g_at_zero) == 2 * k + 1
+    for i in range(2 * k + 1):
+        assert sp.g_at_zero[i] == eval_g(sp, i, sp.field.zero), i
+
+
 def test_g_recursion_on_extension_field():
     # g_(i+1) = 2k theta (-v_(i+1) + 2k theta / g_i): at every point of F_27
     # for k = 1, and of F_13 for every level k = 1..6 admitted there
@@ -302,13 +311,17 @@ def test_embed_scalars():
 def test_embedded_polynomials():
     sp = build_seedpair(3, 2, 4)
     F27 = f27_preset()
+    c = F27.u + F27.one
     for f in (sp.Pk, sp.Qk, Poly.zero(sp.field), Poly.one(sp.field)):
-        lifted = f.embedded(F27)
+        coeffs = [embed(F27, f.coefficient(i)) for i in range(f.degree() + 1)]
+        lifted = f.scaled_into(F27.one)
         assert lifted.field is F27
-        assert lifted == Poly(F27, [embed(F27, f.coefficient(i)) for i in range(f.degree() + 1)])
-        assert f.embedded(sp.field) is f
+        assert lifted == Poly(F27, coeffs)
+        assert f.scaled_into(c) == Poly(F27, [a * c for a in coeffs])
+        assert f.scaled_into(sp.field.one) == f
+    assert sp.Pk.scaled_into(F27.zero) == Poly.zero(F27)
     F9 = make_field(3, 2)
     with pytest.raises(ValueError):
-        Poly(make_field(5, 1), [1, 2]).embedded(F27)
+        Poly(make_field(5, 1), [1, 2]).scaled_into(F27.one)
     with pytest.raises(ValueError):
-        Poly.monomial(F9, 2, F9.u).embedded(F27)
+        Poly.monomial(F9, 2, F9.u).scaled_into(F27.one)
