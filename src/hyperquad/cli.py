@@ -273,7 +273,8 @@ def _verify_payload_and_lines(spec: TypeSpec, report) -> tuple[dict, list[str]]:
         payload["sequences"] = seqs.to_json_dict(prefix=20)
         payload["C0"] = payload["sequences"]["C0"]
         depth = max(seqs.index.i(n) for n in range(1, report.n_requested + 1))
-        tower = perfect_mod.build_tower(seqs.pair, depth)
+        # the prediction just read this tower off the memo
+        tower = perfect_mod._tower(seqs.pair, depth)
         payload["A"] = [format_poly(a) for a in tower]
         lines.append(f"C0: {payload['C0']}")
         lines.append(f"tower: [{', '.join(payload['A'])}]")

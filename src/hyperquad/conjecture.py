@@ -32,9 +32,6 @@ structural: as theta + 1 = -theta, the h_0 child (a, plus) has plus
 theta plus + a = theta^2 b - theta a = theta minus, and the h_2 child
 (a, minus) has minus theta minus - a = theta plus.  Low-degree parts
 also recur often in small fields.
-
-A numeric companion walks the same maps on finite-field elements,
-twisted by a Frobenius power, and records element degrees.
 """
 
 from __future__ import annotations
@@ -43,25 +40,17 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .exactq import is_prime
-from .ffield import FieldDesc, FieldElement, degree_over_prime, frobenius
+from .ffield import FieldDesc, FieldElement
 from .fpoly import Poly, factor, irreducibles
-from .seedpair import (
-    InternalConsistencyError,
-    SeedPair,
-    UndefinedValueError,
-    build_seedpair,
-    eval_h,
-)
+from .seedpair import InternalConsistencyError, build_seedpair
 
 __all__ = [
     "OrbitLedger",
     "CoverageRow",
     "CoverageReport",
-    "GeneralOrbitTrace",
     "new_ledger",
     "step_orbit",
     "run_conjecture",
-    "general_k_orbit",
     "DEFAULT_BUDGET",
     "DEFAULT_DEGREE_CAP",
 ]
@@ -268,70 +257,4 @@ def run_conjecture(
         truncated=ledger.truncated,
         nodes=ledger.nodes,
         factors_found=len(ledger.seen_factors),
-    )
-
-
-# -- numeric companion on finite-field elements ------------------------------
-
-
-@dataclass(frozen=True)
-class GeneralOrbitTrace:
-    """Reachable set of the numeric orbit x -> h_i(x^r) with degrees."""
-
-    pair: SeedPair
-    depth: int
-    seen: dict[FieldElement, int]  # value -> first generation
-    degree_counts: dict[int, int]
-    poles: tuple[tuple[int, int, FieldElement], ...]  # (generation, i, value)
-
-    @property
-    def degrees(self) -> set[int]:
-        return set(self.degree_counts)
-
-
-def general_k_orbit(
-    pair: SeedPair, seeds, depth: int
-) -> GeneralOrbitTrace:
-    """Numeric orbit for any admissible k, deduplicated by value.
-
-    The walk applies every h_i to the r-th power of each frontier
-    element and records the degree of each reachable value over the
-    prime field; pole hits terminate that branch with a record.  The
-    ambient field is taken from the seeds, so constants embed wherever
-    the caller works.
-    """
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    seen: dict[FieldElement, int] = {}
-    frontier: list[FieldElement] = []
-    for s in seeds:
-        if not isinstance(s, FieldElement):
-            raise TypeError("seeds must be field elements")
-        if s not in seen:
-            seen[s] = 0
-            frontier.append(s)
-    poles: list[tuple[int, int, FieldElement]] = []
-    for gen in range(1, depth + 1):
-        if not frontier:
-            break
-        nxt: list[FieldElement] = []
-        for x in frontier:
-            y = frobenius(x, pair.t)
-            for i in range(2 * pair.k + 1):
-                try:
-                    z = eval_h(pair, i, y)
-                except UndefinedValueError:
-                    poles.append((gen, i, x))
-                    continue
-                if z not in seen:
-                    seen[z] = gen
-                    nxt.append(z)
-        frontier = nxt
-    degree_counts = dict(Counter(degree_over_prime(v) for v in seen))
-    return GeneralOrbitTrace(
-        pair=pair,
-        depth=depth,
-        seen=seen,
-        degree_counts=degree_counts,
-        poles=tuple(poles),
     )

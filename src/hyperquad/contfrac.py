@@ -66,19 +66,6 @@ class ExpansionRecord:
         """y_0, y_1, ..., y_N."""
         return self._continuants[1]
 
-    def verify_determinants(self) -> bool:
-        """x_n*y_(n-1) - x_(n-1)*y_n = (-1)^n at every recorded index."""
-        one = Poly.one(self.field)
-        for n in range(1, len(self.numerators)):
-            det = (
-                self.numerators[n] * self.denominators[n - 1]
-                - self.numerators[n - 1] * self.denominators[n]
-            )
-            want = one if n % 2 == 0 else -one
-            if det != want:
-                return False
-        return True
-
     def to_json_dict(self) -> dict:
         return {
             "quotients": [format_poly(q) for q in self.quotients],

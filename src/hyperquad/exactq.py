@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-ExactRational = Fraction
-
 # Marker for the valuation of zero.  math.inf compares correctly against
 # every finite valuation, which is all callers need.
 PADIC_INFINITY = math.inf

@@ -409,17 +409,6 @@ def frobenius_inverse(x: FieldElement, t: int) -> FieldElement:
     return frobenius(x, j)
 
 
-def degree_over_prime(x: FieldElement) -> int:
-    """Degree of the minimal polynomial of x over F_p."""
-    p, s = x.field.p, x.field.s
-    y = x
-    for d in range(1, s + 1):
-        y = y**p
-        if y == x:
-            return d
-    raise AssertionError("Frobenius orbit did not close within s steps")
-
-
 # ---------------------------------------------------------------------------
 # text syntax
 # ---------------------------------------------------------------------------

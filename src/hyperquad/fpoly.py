@@ -2,8 +2,7 @@
 
 Polynomials are backed by the dense int64 kernel (see _gfkernel).  The
 module also provides complete factorization into monic irreducibles over
-a prime field, the Rabin irreducibility test and the count of monic
-irreducibles of a given degree.
+a prime field and the count of monic irreducibles of a given degree.
 """
 
 from __future__ import annotations
@@ -211,24 +210,12 @@ class FactorMultiset:
     unit: FieldElement
     factors: tuple  # ((monic irreducible Poly, multiplicity), ...)
 
-    def expand(self) -> Poly:
-        field = self.unit.field
-        acc = Poly.constant(field, self.unit)
-        for f, m in self.factors:
-            acc = acc * f**m
-        return acc
-
 
 def factor(f: Poly) -> FactorMultiset:
     unit_row, parts = k.factor(f.block(), f.field)
     unit = FieldElement(f.field, tuple(int(v) for v in unit_row))
     factors = tuple((Poly.from_block(f.field, b), m) for b, m in parts)
     return FactorMultiset(unit=unit, factors=factors)
-
-
-def is_irreducible(f: Poly) -> bool:
-    """Rabin test over the coefficient field (see _gfkernel.is_irreducible)."""
-    return k.is_irreducible(f.block(), f.field)
 
 
 def _mobius(n: int) -> int:

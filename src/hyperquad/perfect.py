@@ -58,9 +58,7 @@ __all__ = [
     "generate_sequences",
     "predict_expansion",
     "differential_verify",
-    "consistency_suite",
     "case_one_eps1",
-    "degenerate_next_lambda",
 ]
 
 # case tags: III1 is the branch where the gamma seed vanishes, III2 the
@@ -188,10 +186,6 @@ class PerfectSequences:
         }
 
 
-def _power_sign(x: FieldElement, positive: bool) -> FieldElement:
-    return x if positive else x.inverse()
-
-
 def condition_II(spec: TypeSpec):
     """The head deltas, or the breakdown making them undefinable.
 
@@ -277,6 +271,10 @@ def generate_sequences(spec: TypeSpec, n_max: int):
     case = classify_case(spec, deltas[l])
 
     e1r = frobenius(spec.eps1, t)
+    # each scalar below is needed to the power +1 or -1 by parity; the
+    # pair (x^-1, x) indexed by the bool "power is +1" inverts x once
+    e1r_pm = (e1r.inverse(), e1r)
+    eps1_pm = (spec.eps1.inverse(), spec.eps1)
     v = [embed(F, c) for c in pair.v]
     g_at_zero = [embed(F, c) for c in pair.g_at_zero]
     gammas: dict[int, FieldElement] = {}
@@ -309,6 +307,8 @@ def generate_sequences(spec: TypeSpec, n_max: int):
         x = frobenius(gammas[n], t) if case == CASE_OPEN else F.zero
         n_even = n % 2 == 0
         dn_r = frobenius(deltas[n], t)
+        dn_r_pm = (dn_r.inverse(), dn_r)
+        dn_pm = (deltas[n].inverse(), deltas[n])
         lam_r = frobenius(lambdas[n], t)
         for i in range(2 * k + 1):
             m = fn + i
@@ -326,11 +326,7 @@ def generate_sequences(spec: TypeSpec, n_max: int):
                         reason="pole-of-g",
                         detail=f"g_{i} has a pole at gamma_{n}^r",
                     )
-            d_new = (
-                _power_sign(e1r, n_even == i_even)
-                * _power_sign(dn_r, i_even)
-                * gval
-            )
+            d_new = e1r_pm[n_even == i_even] * dn_r_pm[i_even] * gval
             if d_new.is_zero():
                 return NotPerfect(
                     index=m,
@@ -358,13 +354,9 @@ def generate_sequences(spec: TypeSpec, n_max: int):
             else:
                 gammas[m] = F.zero
             if i == 0:
-                lambdas[m] = _power_sign(spec.eps1, n_even) * lam_r
+                lambdas[m] = eps1_pm[n_even] * lam_r
             else:
-                lambdas[m] = -(
-                    v[i - 1]
-                    * _power_sign(spec.eps1, n_even == i_even)
-                    * _power_sign(deltas[n], i_even)
-                )
+                lambdas[m] = -(v[i - 1] * eps1_pm[n_even == i_even] * dn_pm[i_even])
             if lambdas[m].is_zero():
                 raise InternalConsistencyError(f"lambda_{m} vanished unexpectedly")
         n += 1
@@ -505,122 +497,6 @@ def _first_shape_break(direct: ExpansionRecord, spec: TypeSpec, idx) -> int | No
     return None
 
 
-# -- internal consistency of generated sequences ----------------------------
-
-
-def consistency_suite(seqs: PerfectSequences) -> dict[str, bool]:
-    """Cross-check the generated sequences against their coupled laws.
-
-    All checks are over the already generated index range; any failure
-    indicates an implementation bug (or a deliberately mutated input),
-    never a property of the expansion target.
-    """
-    spec, pair = seqs.spec, seqs.pair
-    F, t, k, l = spec.field, spec.t, spec.k, spec.l
-    idx = seqs.index
-    theta = embed(F, pair.theta)
-    omega = embed(F, pair.omega)
-    two_k_theta = F.from_int(2 * k) * theta
-    e1r = frobenius(spec.eps1, t)
-    deltas, gammas, lambdas = seqs.deltas, seqs.gammas, seqs.lambdas
-    n_top = seqs.n_max
-    report: dict[str, bool] = {}
-
-    ok = True
-    for n in range(1, n_top + 1):
-        if n not in deltas or n not in lambdas:
-            continue
-        lhs = deltas[n]
-        rhs = two_k_theta * theta ** (idx.i(n) - 1) * frobenius(
-            lambdas[n], t
-        ) - (omega * deltas[n - 1]).inverse()
-        ok = ok and lhs == rhs
-    report["delta_first_order"] = ok
-
-    ok = True
-    n = 1
-    while idx.f(n) <= n_top:
-        fn = idx.f(n)
-        lhs = deltas[fn] + (omega * deltas[fn - 1]).inverse()
-        rhs = (
-            theta
-            * _power_sign(e1r, n % 2 == 0)
-            * (frobenius(deltas[n], t)
-               + frobenius((omega * deltas[n - 1]).inverse(), t))
-        )
-        ok = ok and lhs == rhs
-        n += 1
-    report["delta_tower_step"] = ok
-
-    ok = True
-    n = 1
-    while idx.f(n) <= n_top:
-        fn = idx.f(n)
-        dn_r = frobenius(deltas[n], t)
-        for i in range(1, 2 * k + 1):
-            m = fn + i
-            if m > n_top:
-                break
-            lhs = deltas[m] + (omega * deltas[m - 1]).inverse()
-            rhs = -(
-                two_k_theta
-                * embed(F, pair.v[i - 1])
-                * _power_sign(e1r, (n + i) % 2 == 0)
-                * _power_sign(dn_r, i % 2 == 0)
-            )
-            ok = ok and lhs == rhs
-        n += 1
-    report["delta_block_value"] = ok
-
-    if seqs.case == CASE_OPEN:
-        ok = True
-        for n in range(2, n_top + 1):
-            if n in gammas and (n - 1) in gammas:
-                ok = ok and gammas[n] == gammas[n - 1] * (
-                    deltas[n] * deltas[n - 1] * omega
-                ).inverse()
-        report["gamma_coupling"] = ok
-
-        seed_a = (
-            (F.from_int(4 * k * k) * theta * e1r * deltas[l].inverse()
-             - frobenius(spec.eps2, t))
-            * theta
-            * frobenius(deltas[1], t).inverse()
-        )
-        seed_b = (
-            (theta * frobenius(deltas[0], t).inverse()
-             - e1r * deltas[l].inverse())
-            * frobenius((omega * deltas[1]).inverse(), t)
-        )
-        report["gamma_seed_forms"] = seed_a == seed_b == frobenius(gammas[1], t)
-
-        ok = True
-        n = 1
-        while idx.f(n) <= n_top:
-            fn = idx.f(n)
-            x = frobenius(gammas[n], t)
-            try:
-                h0 = eval_h(pair, 0, x)
-                for i in range(1, 2 * k + 1):
-                    m = fn + i
-                    if m > n_top:
-                        break
-                    hi = eval_h(pair, i, x)
-                    hprev = eval_h(pair, i - 1, x)
-                    ok = ok and omega * deltas[m] * deltas[m - 1] == hprev / hi
-                    ok = ok and gammas[m] == gammas[fn] * hi / h0
-            except UndefinedValueError:
-                ok = False
-            n += 1
-        report["gamma_block_ratios"] = ok
-    else:
-        report["gamma_identically_zero"] = all(
-            g.is_zero() for g in gammas.values()
-        )
-
-    return report
-
-
 # -- boundary-case constructors ---------------------------------------------
 
 
@@ -645,30 +521,3 @@ def case_one_eps1(
     theta = embed(field, pair.theta)
     ratio_r = head[-1] * (field.from_int(4 * k * k) * theta).inverse()
     return eps2 * frobenius_inverse(ratio_r, t)
-
-
-def degenerate_next_lambda(
-    field: FieldDesc, t: int, k: int, lambdas, eps2: FieldElement
-) -> FieldElement:
-    """A lambda_{l+1} that makes the next head delta vanish.
-
-    Appending the returned scalar to the head forces a zero delta at
-    index l+1, so the extended target must fail the definability
-    condition there; used to construct negative controls.
-    """
-    probe = TypeSpec(
-        field=field, t=t, k=k, lambdas=tuple(lambdas),
-        eps1=field.one, eps2=eps2,
-    )
-    head = condition_II(probe)
-    if isinstance(head, NotPerfect):
-        raise ValueError("head already breaks down; nothing to extend")
-    pair = build_seedpair(field.p, t, k)
-    theta = embed(field, pair.theta)
-    omega = embed(field, pair.omega)
-    two_k_theta = field.from_int(2 * k) * theta
-    lam_r = (omega * head[-1]).inverse() * two_k_theta.inverse()
-    lam = frobenius_inverse(lam_r, t)
-    if lam.is_zero():
-        raise InternalConsistencyError("degenerate lambda collapsed to zero")
-    return lam

@@ -26,7 +26,7 @@ from hyperquad.cli import corollary_c_spec
 from hyperquad.conjecture import run_conjecture
 from hyperquad.contfrac import expand_rational
 from hyperquad.exactq import q_coefficients_rational, v_sequence_rational, vp
-from hyperquad.ffield import degree_over_prime, make_field
+from hyperquad.ffield import make_field
 from hyperquad.fpoly import Poly
 from hyperquad.hyper import TypeSpec, build_equation
 from hyperquad.perfect import (
@@ -35,12 +35,17 @@ from hyperquad.perfect import (
     IndexMachinery,
     NotPerfect,
     case_one_eps1,
-    consistency_suite,
-    degenerate_next_lambda,
     differential_verify,
     generate_sequences,
 )
 from hyperquad.seedpair import admissible_set, build_seedpair, validate_identities
+
+from checks import (
+    consistency_suite,
+    degenerate_next_lambda,
+    degree_over_prime,
+    determinants_hold,
+)
 
 # (p, t) pairs for the scalar-integrality grid and the full draw grid
 GRID_PT = [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1)]
@@ -154,7 +159,7 @@ def _consume(grid, rep):
     for rec in (rep.direct, rep.predicted):
         if rec is not None:
             grid["det_total"] += 1
-            if not rec.verify_determinants():
+            if not determinants_hold(rec):
                 grid["det_bad"] += 1
     grid["det_elapsed"] += time.monotonic() - t0
     t0 = time.monotonic()
@@ -554,14 +559,14 @@ def test_orbit_factor_coverage():
 def test_determinants_on_every_record():
     checked = 0
     for _, _, _, _, rec in _scalar_grid()["cells"]:
-        assert rec.verify_determinants()
+        assert determinants_hold(rec)
         checked += 1
     rep = _corollary()["report"]
-    assert rep.direct.verify_determinants()
-    assert rep.predicted.verify_determinants()
+    assert determinants_hold(rep.direct)
+    assert determinants_hold(rep.predicted)
     checked += 2
     for _, _, neg_rep in _negatives():
-        assert neg_rep.direct.verify_determinants()
+        assert determinants_hold(neg_rep.direct)
         checked += 1
     grid = _grid()
     assert grid["det_bad"] == 0

@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from hyperquad import cli
+from hyperquad import cli, perfect
 from hyperquad.ffield import f27_preset, format_element
-from hyperquad.perfect import degenerate_next_lambda
+
+from checks import degenerate_next_lambda
 
 
 def run(capsys, argv):
@@ -141,6 +142,29 @@ def test_corollary_c_single_quotient(capsys):
     assert code == 0
     assert "case: III2" in out
     assert "status: match" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", *CC_FLAGS, "--n", "40"], ["corollary-c", "--n", "40"]],
+    ids=["verify", "corollary-c"],
+)
+def test_printed_tower_is_read_off_the_memo(capsys, monkeypatch, argv):
+    # from an empty memo the prediction builds the tower once, and the
+    # tower line prints that same tower instead of building it again
+    monkeypatch.setattr(perfect, "_towers", {})
+    calls = []
+    real = perfect.build_tower
+
+    def counting(pair, depth):
+        calls.append((pair.p, pair.t, pair.k, depth))
+        return real(pair, depth)
+
+    monkeypatch.setattr(perfect, "build_tower", counting)
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert "tower: [T, T, T, T]" in out
+    assert calls == [(3, 1, 1, 4)]
 
 
 def test_corollary_c_json_has_equation(capsys):

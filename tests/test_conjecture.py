@@ -1,4 +1,4 @@
-"""Orbit explorer tests: symbolic factor coverage and numeric degrees."""
+"""Orbit explorer tests: symbolic factor coverage."""
 
 import pytest
 
@@ -6,12 +6,10 @@ from hyperquad import _gfkernel
 from hyperquad.conjecture import (
     DEFAULT_BUDGET,
     DEFAULT_DEGREE_CAP,
-    general_k_orbit,
     new_ledger,
     run_conjecture,
     step_orbit,
 )
-from hyperquad.ffield import f27_preset, make_field
 from hyperquad.fpoly import Poly, factor
 from hyperquad.seedpair import build_seedpair, h_fraction
 
@@ -403,47 +401,3 @@ def test_outer_children_share_a_part_with_their_parent():
                 if 3 * n + 1 in led.frontier:
                     a2, b2 = led.frontier[3 * n + 1]
                     assert b2.scaled(theta) - a2 == plus.scaled(theta)
-
-
-# -- numeric companion -------------------------------------------------------
-
-
-def test_numeric_orbit_preserves_degree_three_over_f27():
-    F = f27_preset()
-    pair = build_seedpair(3, 1, 1)
-    trace = general_k_orbit(pair, [F.u], depth=60)
-    assert trace.degrees == {3}
-    assert len(trace.seen) > 3
-
-
-def test_numeric_orbit_stays_in_prime_field():
-    pair = build_seedpair(7, 1, 1)
-    F = pair.field
-    seeds = [F.from_int(a) for a in range(1, 7)]
-    trace = general_k_orbit(pair, seeds, depth=30)
-    assert trace.degrees <= {1}
-
-
-def test_numeric_orbit_degree_four_splits_to_halves():
-    F = make_field(3, 4)
-    pair = build_seedpair(3, 1, 1)
-    trace = general_k_orbit(pair, [F.u], depth=100)
-    assert 4 in trace.degrees
-    assert trace.degrees <= {4, 2, 1}
-
-
-def test_numeric_orbit_higher_k_and_frobenius_power():
-    # r = 9 walk over F_81 with k in the admissible set of (3, 2)
-    F = make_field(3, 4)
-    pair = build_seedpair(3, 2, 4)
-    trace = general_k_orbit(pair, [F.u], depth=40)
-    assert trace.depth == 40
-    assert all(d in (1, 2, 4) for d in trace.degrees)
-
-
-def test_numeric_orbit_rejects_junk():
-    pair = build_seedpair(3, 1, 1)
-    with pytest.raises(TypeError):
-        general_k_orbit(pair, [3], depth=2)
-    with pytest.raises(ValueError):
-        general_k_orbit(pair, [], depth=-1)

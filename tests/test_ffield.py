@@ -10,7 +10,6 @@ from hyperquad.ffield import (
     FieldDesc,
     FieldParseError,
     UnsupportedCharacteristicError,
-    degree_over_prime,
     f27_preset,
     format_element,
     frobenius,
@@ -18,6 +17,8 @@ from hyperquad.ffield import (
     make_field,
     parse_element,
 )
+
+from checks import degree_over_prime
 
 SAMPLE_FIELDS = [(3, 1), (3, 3), (5, 1), (5, 2), (7, 1)]
 

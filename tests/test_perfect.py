@@ -8,6 +8,7 @@ the module existed.
 
 import json
 import random
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 
 from hyperquad import perfect
 from hyperquad.contfrac import ExpansionRecord
-from hyperquad.ffield import degree_over_prime, f27_preset, make_field
+from hyperquad.ffield import FieldElement, f27_preset, make_field
 from hyperquad.fpoly import Poly
 from hyperquad.hyper import ConvergenceError, TypeSpec, expand_alpha
 from hyperquad.perfect import (
@@ -29,13 +30,18 @@ from hyperquad.perfect import (
     case_one_eps1,
     classify_case,
     condition_II,
-    consistency_suite,
-    degenerate_next_lambda,
     differential_verify,
     generate_sequences,
     predict_expansion,
 )
 from hyperquad.seedpair import build_seedpair
+
+from checks import (
+    consistency_suite,
+    degenerate_next_lambda,
+    degree_over_prime,
+    determinants_hold,
+)
 
 
 def corollary_spec() -> TypeSpec:
@@ -355,7 +361,7 @@ def test_predicted_quotients_match_frozen_expansion():
     assert rec.quotients == [
         T, T.scaled(u**7), T.scaled(u**2), T.scaled(u**11), T.scaled(-u)
     ]
-    assert rec.verify_determinants()
+    assert determinants_hold(rec)
 
 
 def test_differential_match_on_worked_target():
@@ -366,7 +372,7 @@ def test_differential_match_on_worked_target():
     assert report.case == CASE_OPEN
     assert report.first_mismatch is None
     assert report.n_checked == 40
-    assert report.direct.verify_determinants()
+    assert determinants_hold(report.direct)
     assert report.predicted.quotients == report.direct.quotients
 
 
@@ -462,6 +468,33 @@ def test_closed_case_reads_g_at_zero_without_eval_g(monkeypatch):
     assert calls
 
 
+@pytest.mark.parametrize("spec_of", [corollary_spec, closed_case_spec])
+def test_generate_sequences_inverts_each_block_scalar_once(spec_of, monkeypatch):
+    # counts the inverses taken in perfect.py itself (eval_g and eval_h
+    # take their own); past the head, block n needs delta_n^-1 and
+    # (delta_n^r)^-1 and nothing else, as eps1 and eps1^r are inverted
+    # once per call
+    calls = []
+    real = FieldElement.inverse
+
+    def counting(x):
+        if sys._getframe(1).f_code.co_filename == perfect.__file__:
+            calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(FieldElement, "inverse", counting)
+    spec = spec_of()
+    made = {}
+    for n_max in (30, 600):
+        calls.clear()
+        seqs = generate_sequences(spec, n_max)
+        blocks = sum(1 for n in range(1, n_max + 1) if seqs.index.f(n) <= n_max)
+        made[n_max] = (len(calls), blocks)
+    (calls_30, blocks_30), (calls_600, blocks_600) = made[30], made[600]
+    assert blocks_600 - blocks_30 == 190
+    assert calls_600 - calls_30 <= 2 * (blocks_600 - blocks_30)
+
+
 # -- breakdown targets -------------------------------------------------------
 
 
@@ -490,7 +523,7 @@ def test_breakdown_target_mismatches_in_direct_expansion():
     assert report.failure is not None and report.failure.index == 2
     assert report.status == "mismatch"
     assert report.first_mismatch is not None
-    assert report.direct.verify_determinants()
+    assert determinants_hold(report.direct)
     # the offending quotient really is off-pattern: not c*T
     bad = report.direct.quotients[report.first_mismatch - 1]
     T = Poly.monomial(F, 1)

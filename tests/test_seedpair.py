@@ -23,6 +23,8 @@ from hyperquad.seedpair import (
     validate_identities,
 )
 
+from checks import determinants_hold
+
 GRID = [
     (p, t, k)
     for p in (3, 5, 7)
@@ -92,7 +94,7 @@ def test_grid_expansion_matches_v(p, t, k):
     sp = build_seedpair(p, t, k)
     rec = contfrac.expand_rational(sp.Pk, sp.Qk)
     assert rec.quotients == [Poly.monomial(sp.field, 1, c) for c in sp.v]
-    assert rec.verify_determinants()
+    assert determinants_hold(rec)
 
 
 @pytest.mark.parametrize("p,t,k", GRID)
