@@ -15,7 +15,8 @@ power multiplies one.  Larger fields use the coordinate product in the
 basis, and powers and inverses by repeated squaring.
 
 Odd characteristic p < 2^25 only: below that bound (p-1)^2 < 2^50, and
-the dense kernel's exact products stay inside int64.
+the dense kernel's exact products stay inside int64.  Extension degrees
+stop at s = 16, where construction still takes about a second at most.
 """
 
 from __future__ import annotations
@@ -55,6 +56,10 @@ class FieldParseError(ValueError):
 _POWER_TABLE_BOUND = 1 << 16
 # characteristics from here on would overflow the kernel's exact arithmetic
 _P_BOUND = 1 << 25
+# largest extension degree: make_field took at most 0.97 s at s = 16 for p
+# from 3 to 33554393, but 4-5 s at s = 32 (p = 65521) and s = 100 (p = 3), and
+# the (s, s, s) int64 product table is 8 GB at s = 1000 (2-core x86-64 machine)
+_S_BOUND = 16
 
 _field_cache: dict[tuple, "FieldDesc"] = {}
 
@@ -75,6 +80,8 @@ def make_field(p: int, s: int, modulus=None) -> "FieldDesc":
         raise FieldConstructionError(f"{p} is not prime")
     if s < 1:
         raise FieldConstructionError("extension degree must be positive")
+    if s > _S_BOUND:
+        raise FieldConstructionError(f"extension degree {s} is above {_S_BOUND}")
     if modulus is None:
         modulus = _default_modulus(p, s)
     mod = tuple(int(c) % p for c in modulus)

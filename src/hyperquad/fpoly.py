@@ -173,13 +173,6 @@ class Poly:
         self._check(other)
         return Poly.from_block(self.field, k.gcd_block(self._block, other._block, self.field))
 
-    def evaluate(self, x: FieldElement) -> FieldElement:
-        """Horner evaluation at a field element."""
-        acc = self.field.zero
-        for i in range(self.degree(), -1, -1):
-            acc = acc * x + self.coefficient(i)
-        return acc
-
     # -- comparisons --------------------------------------------------------
 
     def __eq__(self, other):

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from . import contfrac
 from ._gfkernel import frobenius_spread
 from .contfrac import ExpansionRecord, UndefinedBracketError
-from .ffield import FieldDesc, FieldElement, embed, frobenius, frobenius_inverse
+from .ffield import FieldDesc, FieldElement, frobenius, frobenius_inverse
 from .fpoly import Poly
 from .hyper import _DEGREE_CAP, ConvergenceError, TypeSpec, expand_alpha
 from .seedpair import (
@@ -41,6 +41,7 @@ from .seedpair import (
     SeedPair,
     UndefinedValueError,
     build_seedpair,
+    constants_in,
     eval_g,
     eval_h,
 )
@@ -195,10 +196,9 @@ def condition_II(spec: TypeSpec):
     delta_0 = -(omega eps2)^-1, and both routes are computed and
     compared.  Returns the list [delta_1..delta_l] or NotPerfect.
     """
-    pair = build_seedpair(spec.p, spec.t, spec.k)
     F, t, k = spec.field, spec.t, spec.k
-    theta = embed(F, pair.theta)
-    omega = embed(F, pair.omega)
+    consts = constants_in(build_seedpair(spec.p, t, k), F)
+    theta, omega = consts.theta, consts.omega
     two_k_theta = F.from_int(2 * k) * theta
     anchor = two_k_theta * spec.eps2.inverse()
     lam_r = [frobenius(lam, t) for lam in spec.lambdas]
@@ -233,14 +233,9 @@ def condition_II(spec: TypeSpec):
 
 def classify_case(spec: TypeSpec, delta_l: FieldElement) -> str:
     """Closed case iff delta_l equals 4k^2 theta (eps1/eps2)^r."""
-    pair = build_seedpair(spec.p, spec.t, spec.k)
     F, k = spec.field, spec.k
-    theta = embed(F, pair.theta)
-    target = (
-        F.from_int(4 * k * k)
-        * theta
-        * frobenius(spec.eps1 / spec.eps2, spec.t)
-    )
+    theta = constants_in(build_seedpair(spec.p, spec.t, k), F).theta
+    target = F.from_int(4 * k * k) * theta * frobenius(spec.eps1 / spec.eps2, spec.t)
     return CASE_CLOSED if delta_l == target else CASE_OPEN
 
 
@@ -256,18 +251,14 @@ def generate_sequences(spec: TypeSpec, n_max: int):
     pair = build_seedpair(spec.p, spec.t, spec.k)
     F, t, k, l = spec.field, spec.t, spec.k, spec.l
     idx = IndexMachinery(k, l)
-    theta = embed(F, pair.theta)
-    omega = embed(F, pair.omega)
+    consts = constants_in(pair, F)
+    theta, omega = consts.theta, consts.omega
 
     head = condition_II(spec)
     if isinstance(head, NotPerfect):
         return head
-    deltas: dict[int, FieldElement] = {0: -(omega * spec.eps2).inverse()}
-    for n, d in enumerate(head, start=1):
-        deltas[n] = d
-    lambdas: dict[int, FieldElement] = {
-        n: lam for n, lam in enumerate(spec.lambdas, start=1)
-    }
+    deltas = dict(enumerate([-(omega * spec.eps2).inverse(), *head]))
+    lambdas = dict(enumerate(spec.lambdas, start=1))
     case = classify_case(spec, deltas[l])
 
     e1r = frobenius(spec.eps1, t)
@@ -275,8 +266,6 @@ def generate_sequences(spec: TypeSpec, n_max: int):
     # pair (x^-1, x) indexed by the bool "power is +1" inverts x once
     e1r_pm = (e1r.inverse(), e1r)
     eps1_pm = (spec.eps1.inverse(), spec.eps1)
-    v = [embed(F, c) for c in pair.v]
-    g_at_zero = [embed(F, c) for c in pair.g_at_zero]
     gammas: dict[int, FieldElement] = {}
     C0 = None
     if case == CASE_OPEN:
@@ -316,7 +305,7 @@ def generate_sequences(spec: TypeSpec, n_max: int):
                 break
             i_even = i % 2 == 0
             if case == CASE_CLOSED:  # x = 0, so g_i(x) is a pair constant
-                gval = g_at_zero[i]
+                gval = consts.g_at_zero[i]
             else:
                 try:
                     gval = eval_g(pair, i, x)
@@ -356,7 +345,7 @@ def generate_sequences(spec: TypeSpec, n_max: int):
             if i == 0:
                 lambdas[m] = eps1_pm[n_even] * lam_r
             else:
-                lambdas[m] = -(v[i - 1] * eps1_pm[n_even == i_even] * dn_pm[i_even])
+                lambdas[m] = -(consts.v[i - 1] * eps1_pm[n_even == i_even] * dn_pm[i_even])
             if lambdas[m].is_zero():
                 raise InternalConsistencyError(f"lambda_{m} vanished unexpectedly")
         n += 1
@@ -517,7 +506,6 @@ def case_one_eps1(
     head = condition_II(probe)
     if isinstance(head, NotPerfect):
         return None
-    pair = build_seedpair(field.p, t, k)
-    theta = embed(field, pair.theta)
+    theta = constants_in(build_seedpair(field.p, t, k), field).theta
     ratio_r = head[-1] * (field.from_int(4 * k * k) * theta).inverse()
     return eps2 * frobenius_inverse(ratio_r, t)

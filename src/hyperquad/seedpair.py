@@ -8,11 +8,17 @@ the prime field, and exposes the two one-parameter function families g
 and h used by the predicted-expansion machinery, with their internal
 identities checkable as exact polynomial statements.
 
-Every constant of the families is reduced into F_p once, when the pair
-is built: the middle g scalars 2k theta v_i i/(2k-2i+1) are kept as
-SeedPair.g_scalars, the values g_i(0) as SeedPair.g_at_zero and the h
-scalars (-1)^i binom(2k, i) as SeedPair.h_scalars.  Field evaluations
-read them and embed them into the working field F_q with ffield.embed.
+Both families are indexed by 0 <= i <= 2k, and each is one formula.  Pad
+the row w with w_(-1) = w_(2k) = 0 and let l_j = theta + w_j X; then
+g_i = g_i(0) l_i / l_(i-1) and h_i = theta (-1)^i binom(2k, i) X / (l_i l_(i-1)).
+The ends fit because w_0 = 1 and w_(2k-1) = -1: Pascal's rule
+w_i - w_(i-1) = (-1)^i binom(2k, i) holds on the padded row for all
+0 <= i <= 2k, and l_(-1) = l_(2k) = theta, so g_0 = theta + X,
+g_2k = 1/(theta - X), h_0 = X/(theta + X) and h_2k = X/(theta - X).
+
+The constants g_i(0) and (-1)^i binom(2k, i) are reduced into F_p once,
+when the pair is built.  constants_in embeds them, with theta, omega, v
+and the padded w, into a working field F_q once per (pair, field).
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ __all__ = [
     "SeedPair",
     "admissible_set",
     "build_seedpair",
+    "constants_in",
     "eval_g",
     "eval_h",
     "validate_identities",
@@ -96,15 +103,13 @@ class SeedPair:
 
     v has length 2k (entry i-1 holds v_i), w has length 2k (indices 0
     through 2k-1), b has length k, and Pk, Qk live in F_p[T] with
-    deg Pk = 2k, deg Qk = 2k - 1.  The reduced scalars of the g and h
-    families come with the pair: g_scalars has length 2k - 1 (entry i-1
-    holds 2k theta v_i i/(2k-2i+1) for the middle member g_i) and
-    h_scalars has length 2k + 1 (entry i holds (-1)^i binom(2k, i)).
-    g_at_zero has length 2k + 1 and holds g_i(0) = eval_g(pair, i, 0):
-    theta for g_0 = theta + X, theta^-1 for g_2k = 1/(theta - X), and
-    g_scalars[i-1] for a middle member, whose factor
-    (theta + w_i X)/(theta + w_(i-1) X) is 1 at X = 0.  theta is a unit,
-    so no member has a pole at 0.
+    deg Pk = 2k, deg Qk = 2k - 1.  For 0 <= i <= 2k, g_i = g_i(0) l_i / l_(i-1)
+    and h_i = theta h_scalars[i] X / (l_i l_(i-1)), where l_j = theta + w_j X
+    on w padded with zeros.  The ends fit because Pascal's rule
+    w_i - w_(i-1) = h_scalars[i] = (-1)^i binom(2k, i) holds there too
+    (module docstring).  g_at_zero[i] holds g_i(0): theta, then
+    2k theta v_i i/(2k-2i+1), then theta^-1; theta is a unit and
+    l_i / l_(i-1) is 1 at X = 0, so no member has a pole at 0.
     """
 
     p: int
@@ -116,7 +121,6 @@ class SeedPair:
     omega: FieldElement
     w: tuple[FieldElement, ...]
     b: tuple[FieldElement, ...]
-    g_scalars: tuple[FieldElement, ...]
     g_at_zero: tuple[FieldElement, ...]
     h_scalars: tuple[FieldElement, ...]
     Pk: Poly
@@ -172,10 +176,11 @@ def build_seedpair(p: int, t: int, k: int) -> SeedPair:
     b = tuple(emb(x) for x in bq)
     # i/(2k-2i+1) is reduced as an exact fraction first: numerator and
     # denominator share their full power of p, so the quotient is a unit
-    g_scalars = tuple(
+    middle = (
         emb(2 * k * thetaq * vq[i - 1] * Fraction(i, 2 * k - 2 * i + 1))
         for i in range(1, 2 * k)
     )
+    g_at_zero = (theta, *middle, theta.inverse())
     h_scalars = tuple(
         field.from_int((-1) ** i * math.comb(2 * k, i)) for i in range(2 * k + 1)
     )
@@ -195,16 +200,17 @@ def build_seedpair(p: int, t: int, k: int) -> SeedPair:
     for i in range(1, 2 * k + 1):
         expected = v[i - 1] * (omega if i % 2 == 1 else omega.inverse())
         _require(v[2 * k - i] == expected, f"v symmetry fails at i={i}")
+    # Qk(1) is the sum of Qk's coefficients
     _require(
-        Qk.evaluate(field.one) == -two_k_theta.inverse(),
+        field.from_int(int(Qk.block().sum())) == -two_k_theta.inverse(),
         "Qk(1) != -(2k theta)^-1",
     )
-    for i in range(1, 2 * k):
-        diff = w[i] - w[i - 1]
-        _require(
-            diff == h_scalars[i] and not diff.is_zero(),
-            f"w difference fails at i={i}",
-        )
+    # Pascal's rule on the row padded with w_(-1) = w_(2k) = 0, which the
+    # one formula of each family needs at its ends; each difference is a
+    # unit, as the binomials were checked to be
+    padded = (field.zero, *w, field.zero)
+    for i, d in enumerate(h_scalars):
+        _require(padded[i + 1] - padded[i] == d, f"w difference fails at i={i}")
     rec = contfrac.expand_rational(Pk, Qk)
     want = [Poly.monomial(field, 1, c) for c in v]
     _require(rec.quotients == want, "Pk/Qk does not expand to [v_1 T, ..., v_2k T]")
@@ -212,20 +218,47 @@ def build_seedpair(p: int, t: int, k: int) -> SeedPair:
     return SeedPair(
         p=p, t=t, k=k, field=field,
         v=v, theta=theta, omega=omega, w=w, b=b,
-        g_scalars=g_scalars, g_at_zero=(theta, *g_scalars, theta.inverse()),
-        h_scalars=h_scalars, Pk=Pk, Qk=Qk,
+        g_at_zero=g_at_zero, h_scalars=h_scalars, Pk=Pk, Qk=Qk,
     )
 
 
 # -- the families g and h ---------------------------------------------------
-#
-# Both families are indexed by 0 <= i <= 2k.  The end members are the
-# Moebius maps
-#     g_0 = theta + X        g_2k = 1/(theta - X)
-#     h_0 = X/(theta + X)    h_2k = X/(theta - X)
-# and the middle members are quotients of the linear forms theta + w_i X:
-#     g_i = 2k theta v_i (i/(2k-2i+1)) (theta + w_i X)/(theta + w_{i-1} X)
-#     h_i = (-1)^i binom(2k,i) theta X /((theta + w_i X)(theta + w_{i-1} X)).
+
+
+@dataclass(frozen=True)
+class FieldConstants:
+    """A pair's family constants in one field F_q.
+
+    w[j + 1] = w_j on the padded row, -1 <= j <= 2k; theta_h[i] = theta h_scalars[i].
+    """
+
+    theta: FieldElement
+    omega: FieldElement
+    v: tuple[FieldElement, ...]
+    w: tuple[FieldElement, ...]
+    g_at_zero: tuple[FieldElement, ...]
+    theta_h: tuple[FieldElement, ...]
+
+
+# constants_in's views by (p, t, k, field), which hashes faster than a SeedPair
+_views: dict[tuple, FieldConstants] = {}
+
+
+def constants_in(pair: SeedPair, field: FieldDesc) -> FieldConstants:
+    """The pair's family constants in field, embedded once per (pair, field)."""
+    key = (pair.p, pair.t, pair.k, field)
+    view = _views.get(key)
+    if view is None:
+        emb = lambda cs: tuple(embed(field, c) for c in cs)
+        view = _views[key] = FieldConstants(
+            theta=embed(field, pair.theta),
+            omega=embed(field, pair.omega),
+            v=emb(pair.v),
+            w=emb((pair.field.zero, *pair.w, pair.field.zero)),
+            g_at_zero=emb(pair.g_at_zero),
+            theta_h=emb(pair.theta * c for c in pair.h_scalars),
+        )
+    return view
 
 
 def _check_index(pair: SeedPair, i: int) -> None:
@@ -234,81 +267,51 @@ def _check_index(pair: SeedPair, i: int) -> None:
 
 
 def eval_g(pair: SeedPair, i: int, x: FieldElement) -> FieldElement:
-    """Value of g_i at a field element x.
+    """Value of g_i = g_i(0) l_i / l_(i-1) at a field element x.
 
     Raises UndefinedValueError where the denominator vanishes; the
     caller decides what a pole means (for the predicted sequences it
     means the prediction breaks down, not a programming error).
     """
     _check_index(pair, i)
-    k = pair.k
-    field = x.field
-    theta = embed(field, pair.theta)
-    if i == 0:
-        return theta + x
-    if i == 2 * k:
-        den = theta - x
-        if den.is_zero():
-            raise UndefinedValueError(f"g_{i} has a pole at {x}")
-        return den.inverse()
-    den = theta + embed(field, pair.w[i - 1]) * x
+    c = constants_in(pair, x.field)
+    den = c.theta + c.w[i] * x
     if den.is_zero():
         raise UndefinedValueError(f"g_{i} has a pole at {x}")
-    c = embed(field, pair.g_scalars[i - 1])
-    return c * (theta + embed(field, pair.w[i]) * x) / den
+    return c.g_at_zero[i] * (c.theta + c.w[i + 1] * x) / den
 
 
 def eval_h(pair: SeedPair, i: int, x: FieldElement) -> FieldElement:
     """Value of h_i at x; same conventions as eval_g.  h_i(0) = 0."""
     _check_index(pair, i)
-    k = pair.k
-    field = x.field
-    theta = embed(field, pair.theta)
-    if i == 0 or i == 2 * k:
-        den = theta + x if i == 0 else theta - x
-        if den.is_zero():
-            raise UndefinedValueError(f"h_{i} has a pole at {x}")
-        return x / den
-    c = embed(field, pair.h_scalars[i])
-    den = (theta + embed(field, pair.w[i]) * x) * (
-        theta + embed(field, pair.w[i - 1]) * x
-    )
+    c = constants_in(pair, x.field)
+    den = (c.theta + c.w[i + 1] * x) * (c.theta + c.w[i] * x)
     if den.is_zero():
         raise UndefinedValueError(f"h_{i} has a pole at {x}")
-    return c * theta * x / den
+    return c.theta_h[i] * x / den
 
 
 # -- identity validation ----------------------------------------------------
 
 
+def _forms(pair: SeedPair, i: int) -> tuple[FieldConstants, Poly, Poly]:
+    """The constants over F_p, with l_i and l_(i-1) as polynomials."""
+    _check_index(pair, i)
+    c = constants_in(pair, pair.field)
+    l_i, l_prev = (Poly(pair.field, [c.theta, c.w[j]]) for j in (i + 1, i))
+    return c, l_i, l_prev
+
+
 def g_fraction(pair: SeedPair, i: int) -> tuple[Poly, Poly]:
     """g_i as a (numerator, denominator) pair of polynomials over F_p."""
-    _check_index(pair, i)
-    field, k = pair.field, pair.k
-    one = Poly.one(field)
-    X = Poly.monomial(field, 1)
-    th = Poly.constant(field, pair.theta)
-    if i == 0:
-        return th + X, one
-    if i == 2 * k:
-        return one, th - X
-    num = (th + X.scaled(pair.w[i])).scaled(pair.g_scalars[i - 1])
-    den = th + X.scaled(pair.w[i - 1])
-    return num, den
+    c, l_i, l_prev = _forms(pair, i)
+    return l_i.scaled(c.g_at_zero[i]), l_prev
 
 
 def h_fraction(pair: SeedPair, i: int) -> tuple[Poly, Poly]:
     """h_i as a (numerator, denominator) pair of polynomials over F_p."""
-    _check_index(pair, i)
-    field, k = pair.field, pair.k
-    X = Poly.monomial(field, 1)
-    th = Poly.constant(field, pair.theta)
-    if i == 0:
-        return X, th + X
-    if i == 2 * k:
-        return X, th - X
-    den = (th + X.scaled(pair.w[i])) * (th + X.scaled(pair.w[i - 1]))
-    return X.scaled(pair.h_scalars[i] * pair.theta), den
+    c, l_i, l_prev = _forms(pair, i)
+    return Poly.monomial(pair.field, 1, c.theta_h[i]), l_i * l_prev
 
 
 def validate_identities(pair: SeedPair) -> dict[str, bool]:
@@ -327,11 +330,10 @@ def validate_identities(pair: SeedPair) -> dict[str, bool]:
     h = [h_fraction(pair, i) for i in range(2 * k + 1)]
     report: dict[str, bool] = {}
 
-    ok = True
-    for i in range(1, 2 * k + 1):
-        expected = pair.v[i - 1] * (pair.omega if i % 2 == 1 else pair.omega.inverse())
-        ok = ok and pair.v[2 * k - i] == expected
-    report["v_symmetry"] = ok
+    omega_pm = (pair.omega.inverse(), pair.omega)  # by the parity of i
+    report["v_symmetry"] = all(
+        pair.v[2 * k - i] == pair.v[i - 1] * omega_pm[i % 2] for i in range(1, 2 * k + 1)
+    )
 
     ok = True
     for i in range(2 * k):
@@ -383,12 +385,8 @@ def validate_identities(pair: SeedPair) -> dict[str, bool]:
         ok = ok and lhs == gd * gpd * hpn * hd
     report["gh_product_ratio"] = ok
 
-    gn0, gd0 = g[0]
-    hn0, hd0 = h[0]
-    gnl, gdl = g[2 * k]
-    hnl, hdl = h[2 * k]
-    report["gh_boundary"] = (gn0 * hn0 == X * gd0 * hd0) and (
-        hnl * gdl == X * gnl * hdl
-    )
+    (gn0, gd0), (hn0, hd0) = g[0], h[0]
+    (gnl, gdl), (hnl, hdl) = g[2 * k], h[2 * k]
+    report["gh_boundary"] = gn0 * hn0 == X * gd0 * hd0 and hnl * gdl == X * gnl * hdl
 
     return report

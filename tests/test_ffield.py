@@ -42,6 +42,23 @@ def test_construction_errors():
         make_field(3, 2, [1, 1])  # degree mismatch
 
 
+def test_extension_degree_above_the_bound_is_rejected_at_once(monkeypatch):
+    from hyperquad import ffield
+
+    def refuse(*args):
+        raise AssertionError("the field was searched for or built")
+
+    for name in ("_default_modulus", "_modulus_is_irreducible", "FieldDesc"):
+        monkeypatch.setattr(ffield, name, refuse)
+    for modulus in (None, [1] * (10**6 + 1)):
+        with pytest.raises(FieldConstructionError, match="extension degree"):
+            make_field(3, 10**6, modulus)
+    with pytest.raises(FieldConstructionError):
+        make_field(3, ffield._S_BOUND + 1)
+    monkeypatch.undo()
+    assert make_field(3, ffield._S_BOUND).s == ffield._S_BOUND
+
+
 def test_prime_field_defaults():
     f3 = make_field(3, 1)
     assert list(f3.modulus) == [0, 1]

@@ -250,8 +250,108 @@ def test_reduced_scalars_match_exact_rationals(p):
             for i in range(1, 2 * k)
         ]
         want_h = [(-1) ** i * math.comb(2 * k, i) for i in range(2 * k + 1)]
-        assert sp.g_scalars == tuple(F.from_int(reduce_mod(c, p)) for c in want_g)
+        middle = tuple(F.from_int(reduce_mod(c, p)) for c in want_g)
+        assert sp.g_at_zero[1:-1] == middle
+        assert sp.g_at_zero[0] == F.from_int(reduce_mod(thetaq, p))
+        assert sp.g_at_zero[-1] == F.from_int(reduce_mod(1 / thetaq, p))
         assert sp.h_scalars == tuple(F.from_int(reduce_mod(c, p)) for c in want_h)
+
+
+# -- the former families, one branch per end member ---------------------------
+
+
+def _former_eval_g(pair, i, x):
+    k, field = pair.k, x.field
+    theta = embed(field, pair.theta)
+    if i == 0:
+        return theta + x
+    if i == 2 * k:
+        den = theta - x
+        if den.is_zero():
+            raise UndefinedValueError(i)
+        return den.inverse()
+    den = theta + embed(field, pair.w[i - 1]) * x
+    if den.is_zero():
+        raise UndefinedValueError(i)
+    c = embed(field, pair.g_at_zero[i])
+    return c * (theta + embed(field, pair.w[i]) * x) / den
+
+
+def _former_eval_h(pair, i, x):
+    k, field = pair.k, x.field
+    theta = embed(field, pair.theta)
+    if i == 0 or i == 2 * k:
+        den = theta + x if i == 0 else theta - x
+        if den.is_zero():
+            raise UndefinedValueError(i)
+        return x / den
+    c = embed(field, pair.h_scalars[i])
+    den = (theta + embed(field, pair.w[i]) * x) * (
+        theta + embed(field, pair.w[i - 1]) * x
+    )
+    if den.is_zero():
+        raise UndefinedValueError(i)
+    return c * theta * x / den
+
+
+def _former_g_fraction(pair, i):
+    field, k = pair.field, pair.k
+    one = Poly.one(field)
+    X = Poly.monomial(field, 1)
+    th = Poly.constant(field, pair.theta)
+    if i == 0:
+        return th + X, one
+    if i == 2 * k:
+        return one, th - X
+    num = (th + X.scaled(pair.w[i])).scaled(pair.g_at_zero[i])
+    return num, th + X.scaled(pair.w[i - 1])
+
+
+def _former_h_fraction(pair, i):
+    field, k = pair.field, pair.k
+    X = Poly.monomial(field, 1)
+    th = Poly.constant(field, pair.theta)
+    if i == 0:
+        return X, th + X
+    if i == 2 * k:
+        return X, th - X
+    den = (th + X.scaled(pair.w[i])) * (th + X.scaled(pair.w[i - 1]))
+    return X.scaled(pair.h_scalars[i] * pair.theta), den
+
+
+def _value_or_pole(fn, *args):
+    try:
+        return fn(*args)
+    except UndefinedValueError:
+        return "pole"
+
+
+ONE_FORMULA_CASES = (
+    [(build_seedpair(13, 1, k), make_field(13, 1)) for k in range(1, 7)]
+    + [(build_seedpair(5, 1, k), make_field(5, 2)) for k in (1, 2)]
+    + [(build_seedpair(3, 1, 1), f27_preset())]
+    + [(build_seedpair(7, 1, k), make_field(7, 2)) for k in (1, 2, 3)]
+)
+
+
+@pytest.mark.parametrize(
+    "sp,F", ONE_FORMULA_CASES, ids=[f"F{F.order}-k{sp.k}" for sp, F in ONE_FORMULA_CASES]
+)
+def test_one_formula_matches_former_end_member_code(sp, F):
+    poles = 0
+    for x in F.elements():
+        for i in range(2 * sp.k + 1):
+            for new, old in ((eval_g, _former_eval_g), (eval_h, _former_eval_h)):
+                got = _value_or_pole(new, sp, i, x)
+                assert got == _value_or_pole(old, sp, i, x), (new.__name__, i, x)
+                poles += got == "pole"
+    assert poles > 0  # the comparison reaches the poles too
+    for new, old in ((g_fraction, _former_g_fraction), (h_fraction, _former_h_fraction)):
+        for i in range(2 * sp.k + 1):
+            (num, den), (num0, den0) = new(sp, i), old(sp, i)
+            # equal up to one common unit: den0 = u den and num0 = u num
+            u = den0.leading() / den.leading()
+            assert den.scaled(u) == den0 and num.scaled(u) == num0, (new.__name__, i)
 
 
 def test_field_evaluation_does_no_rational_arithmetic(monkeypatch):
