@@ -41,10 +41,11 @@ p < 2^25, the bound make_field enforces:
 - exact: np.convolve over 4096-slot pieces, reduced mod p after each, so
   sums stay below 2^12 * 2^50 = 2^62.
 
-Division has two paths, and div_path names the one divmod_block takes.
-Short quotients are found by long division, one quotient row per step.
-Long ones are found by reversal: with dq = da - db and rev(f) = x^deg(f)
-f(1/x), a = q*b + r reads
+Division has three paths, and div_path names the one divmod_block takes.
+A constant divisor b = c divides a by one scalar_mul by c^-1, with no
+remainder.  Short quotients are found by long division, one quotient row
+per step.  Long ones are found by reversal: with dq = da - db and
+rev(f) = x^deg(f) f(1/x), a = q*b + r reads
 
     rev(a) = rev(q)*rev(b) + x^(dq+1) * x^(db-1-deg r) rev(r),
 
@@ -62,6 +63,24 @@ once, as the (db+1, s, s) tensor bm with bm[j] = mult_matrix(b[j]), and a
 quotient row c then subtracts bm @ c, the rows of c*b.  Its entries are
 the same sums mult_matrix forms (s products below p^2 each, reduced mod
 p), so every row is the exact product.
+
+Products modulo a fixed f of degree d (mulmod, and through it powmod)
+reduce by one matrix.  Once f is fixed, x^i -> x^i mod f is F_p-linear,
+the view behind Berlekamp's Q-matrix (Bell Syst. Tech. J. 46, 1967).
+reduction builds the F_p matrix R whose row (i, j) holds the coordinates
+of u^j x^(d+i) mod f for 0 <= i <= d-2 and 0 <= j < s, a (d-1)s x ds
+matrix; at s = 1 these are the rows x^d ... x^(2d-2) mod f.  A product ab
+of operands of degree below d has at most 2d-1 rows, and
+
+    ab mod f = ab[:d] + flat(ab[d:]) @ R   (mod p),
+
+since ab[d:] holds the coordinates of the x^(d+i) u^j terms.  mul returns
+ab reduced mod p, so each entry of the matrix product sums (d-1)s
+products below p^2 < 2^50.  mod_path takes the matrix for d >= 2 while R
+has at most _DIRECT_WORK entries, so (d-1)s <= 2^8 and every sum stays
+below 2^8 * 2^50 = 2^58, the direct-product argument again (d <= 256 at
+s = 1).  Other moduli, and products of 2d rows or more, divide by
+rem_block.
 """
 
 from __future__ import annotations
@@ -266,16 +285,30 @@ def series_inv(block: np.ndarray, m: int, field) -> np.ndarray:
 
 
 def div_path(da: int, db: int, field) -> str:
-    """The path divmod_block takes for degrees da >= db: long or newton.
+    """The path divmod_block takes for degrees da >= db: scalar, long or newton.
 
-    The row loop makes (da-db+1)(db+1)s^2 coefficient operations; division
-    by reversal costs a few products instead and wins once the quotient has
+    A constant divisor (db = 0) is one scalar product by its inverse.  The
+    row loop makes (da-db+1)(db+1)s^2 coefficient operations; division by
+    reversal costs a few products instead and wins once the quotient has
     _NEWTON_QUOTIENT rows and that work passes the direct-product bound.
     """
+    if db == 0:
+        return "scalar"
     dq = da - db
     if dq >= _NEWTON_QUOTIENT and (dq + 1) * (db + 1) * field.s**2 >= _DIRECT_WORK:
         return "newton"
     return "long"
+
+
+def mod_path(d: int, field) -> str:
+    """The path mulmod takes modulo f of degree d: matrix or divide.
+
+    The module docstring gives the rule and why the matrix is exact.
+    """
+    s = field.s
+    if d >= 2 and (d - 1) * s * d * s <= _DIRECT_WORK:
+        return "matrix"
+    return "divide"
 
 
 def _divmod_reversed(a: np.ndarray, b: np.ndarray, field):
@@ -302,7 +335,10 @@ def divmod_block(a: np.ndarray, b: np.ndarray, field):
     db, da = b.shape[0] - 1, a.shape[0] - 1
     if da < db:
         return np.zeros((0, field.s), dtype=np.int64), a
-    if div_path(da, db, field) == "newton":
+    path = div_path(da, db, field)
+    if path == "scalar":
+        return scalar_mul(a, row_inverse(field, b[0]), field), zeros(field, 0)
+    if path == "newton":
         return _divmod_reversed(a, b, field)
     p, s = field.p, field.s
     a = a.copy()
@@ -352,20 +388,56 @@ def _col(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1, 1)
 
 
-def mulmod(a: np.ndarray, b: np.ndarray, f: np.ndarray, field) -> np.ndarray:
-    return rem_block(mul(a, b, field), f, field)
+def reduction(f: np.ndarray, field):
+    """The matrix R of x^d ... x^(2d-2) mod f, or None where mod_path divides.
+
+    Row (i, j) holds the coordinates of u^j x^(d+i) mod f; the module
+    docstring gives the layout.  Each x^(d+i+1) mod f is x^(d+i) mod f
+    shifted up one row, plus its shifted-out top coefficient times x^d mod f.
+    """
+    d = f.shape[0] - 1
+    if mod_path(d, field) != "matrix":
+        return None
+    p, s = field.p, field.s
+    rows = np.zeros((d - 1, d, s), dtype=np.int64)
+    rows[0] = neg(scalar_mul(f[:d], row_inverse(field, f[d]), field), field)
+    m0 = mult_matrix(field, rows[0]).reshape(d * s, s)  # m0 @ c: the rows of c * rows[0]
+    for i in range(1, d - 1):
+        rows[i, 1:] = rows[i - 1, :-1]
+        top = rows[i - 1, -1]
+        if top.any():
+            rows[i] = (rows[i] + (m0 @ top).reshape(d, s)) % p
+    # m[i, k, :, j] holds the coordinates of u^j * rows[i, k]
+    m = mult_matrix(field, rows)
+    return np.ascontiguousarray(m.transpose(0, 3, 1, 2)).reshape((d - 1) * s, d * s)
 
 
-def powmod(a: np.ndarray, e: int, f: np.ndarray, field) -> np.ndarray:
+def mulmod(a: np.ndarray, b: np.ndarray, f: np.ndarray, field, red=None) -> np.ndarray:
+    """a*b mod f: by the matrix red = reduction(f, field) when given, else by division."""
+    ab = mul(a, b, field)
+    d, n = f.shape[0] - 1, ab.shape[0]
+    if red is None or n >= 2 * d:
+        return rem_block(ab, f, field)
+    if n <= d:
+        return ab
+    s = field.s
+    high = ab[d:].reshape(-1) @ red[: (n - d) * s]
+    return trim((ab[:d] + high.reshape(d, s)) % field.p)
+
+
+def powmod(a: np.ndarray, e: int, f: np.ndarray, field, red=None) -> np.ndarray:
+    """a^e mod f, every product by mulmod through red = reduction(f, field)."""
+    if red is None:
+        red = reduction(f, field)
     result = zeros(field, 1)
     result[0, 0] = 1
     a = rem_block(a, f, field)
     while e:
         if e & 1:
-            result = mulmod(result, a, f, field)
+            result = mulmod(result, a, f, field, red)
         e >>= 1
         if e:
-            a = mulmod(a, a, f, field)
+            a = mulmod(a, a, f, field, red)
     return result
 
 
@@ -387,9 +459,10 @@ def is_irreducible(f: np.ndarray, field) -> bool:
     x = zeros(field, 2)
     x[1, 0] = 1
     gcd_steps = {d // ell for ell in prime_divisors(d)}
+    red = reduction(f, field)
     h = x
     for j in range(1, d + 1):
-        h = powmod(h, q, f, field)
+        h = powmod(h, q, f, field, red)
         if j in gcd_steps and gcd_block(sub(h, x, field), f, field).shape[0] > 1:
             return False
     return sub(h, x, field).shape[0] == 0
@@ -418,9 +491,11 @@ def pth_root(a: np.ndarray, field) -> np.ndarray:
 
 
 def squarefree_decomposition(f: np.ndarray, field) -> list[tuple[np.ndarray, int]]:
-    """Monic square-free parts with multiplicities; prime fields only."""
+    """Square-free parts with multiplicities of a monic f; prime fields only.
+
+    Every part is monic: a gcd, a quotient of monic blocks, or a p-th root
+    of one."""
     p = field.p
-    f = monic(f, field)
     if f.shape[0] <= 1:
         return []
     out: dict[int, np.ndarray] = {}
@@ -431,13 +506,15 @@ def squarefree_decomposition(f: np.ndarray, field) -> list[tuple[np.ndarray, int
             out[m * p] = g
         return sorted(((g, m) for m, g in out.items()), key=lambda t: t[1])
     c = gcd_block(f, df, field)
+    if c.shape[0] == 1:
+        return [(f, 1)]  # gcd(f, f') = 1: f is square-free
     w = divmod_block(f, c, field)[0]
     i = 1
     while w.shape[0] > 1:
         y = gcd_block(w, c, field)
         z = divmod_block(w, y, field)[0]
         if z.shape[0] > 1:
-            out[i] = monic(z, field)
+            out[i] = z
         w = y
         c = divmod_block(c, y, field)[0]
         i += 1
@@ -453,38 +530,42 @@ def squarefree_decomposition(f: np.ndarray, field) -> list[tuple[np.ndarray, int
 
 
 def distinct_degree(f: np.ndarray, field) -> list[tuple[np.ndarray, int]]:
-    """Split a monic square-free f into products of same-degree irreducibles."""
+    """Split a monic square-free f into monic products of same-degree irreducibles."""
     p = field.p
     out = []
     x = zeros(field, 2)
     x[1, 0] = 1
     h = x.copy()  # x^(p^j) mod f as j advances
     j = 0
-    f = monic(f, field)
+    red = reduction(f, field)
     while f.shape[0] - 1 >= 2 * (j + 1):
         j += 1
-        h = powmod(h, p, f, field)
+        h = powmod(h, p, f, field, red)
         g = gcd_block(sub(h, x, field), f, field)
         if g.shape[0] > 1:
             out.append((g, j))
             f = divmod_block(f, g, field)[0]
+            red = reduction(f, field)
     if f.shape[0] > 1:
         out.append((f, f.shape[0] - 1))
     return out
 
 
 def equal_degree(f: np.ndarray, d: int, field, rng: np.random.Generator) -> list[np.ndarray]:
-    """Cantor-Zassenhaus split of a product of degree-d irreducibles (p odd)."""
+    """Cantor-Zassenhaus split of a monic product of degree-d irreducibles (p odd).
+
+    The irreducibles come back monic."""
     n = f.shape[0] - 1
     if n == d:
-        return [monic(f, field)]
+        return [f]
     p = field.p
     e = (p**d - 1) // 2
+    red = reduction(f, field)
     while True:
         r = trim(_col(rng.integers(0, p, size=n, dtype=np.int64)))
         if r.shape[0] == 0:
             continue
-        g = powmod(r, e, f, field)
+        g = powmod(r, e, f, field, red)
         if g.shape[0] == 0:
             continue
         g = g.copy()

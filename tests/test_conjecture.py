@@ -10,6 +10,7 @@ from hyperquad.conjecture import (
     run_conjecture,
     step_orbit,
 )
+from hyperquad.ffield import make_field
 from hyperquad.fpoly import Poly, factor
 from hyperquad.seedpair import build_seedpair, h_fraction
 
@@ -66,6 +67,32 @@ def test_all_factor_degrees_are_powers_of_two():
     assert rep.depth == 5
     # degree-1 coverage over F_3 is complete almost immediately
     assert rep.rows[0].found == rep.rows[0].total == 3
+
+
+@pytest.mark.parametrize(
+    "p, depth, nodes, factors, found, top_part",
+    [
+        (3, 8, 9841, 290, [3, 3, 18, 134, 102], 128),
+        (7, 6, 1093, 210, [7, 21, 134, 38, 8], 32),
+    ],
+)
+def test_deeper_walks_as_recorded(monkeypatch, p, depth, nodes, factors, found, top_part):
+    # reports recorded before products mod f were reduced by a matrix; every
+    # part these walks factor is a modulus the matrix serves
+    degrees = []
+    real = _gfkernel.factor
+
+    def spy(f, field):
+        degrees.append(f.shape[0] - 1)
+        return real(f, field)
+
+    monkeypatch.setattr(_gfkernel, "factor", spy)
+    rep = run_conjecture(p, depth, 4)
+    assert (rep.nodes, rep.factors_found) == (nodes, factors)
+    assert [r.found for r in rep.rows] == found
+    assert not rep.truncated and rep.non_power_of_two_degrees == ()
+    assert max(degrees) == top_part
+    assert _gfkernel.mod_path(top_part, make_field(p, 1)) == "matrix"
 
 
 def test_coverage_monotone_in_depth():

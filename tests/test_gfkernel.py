@@ -281,7 +281,7 @@ def test_divmod_block_matches_row_loop(p, s):
         a = k.trim(rng.integers(0, p, size=(da + 1, s)))
         b = rng.integers(0, p, size=(db + 1, s))
         b[db, rng.integers(0, s)] = rng.integers(1, p)
-        assert k.div_path(da, db, field) == "long"
+        assert k.div_path(da, db, field) == ("scalar" if db == 0 else "long")
         q, r = k.divmod_block(a, b, field)
         q_ref, r_ref = divmod_row_loop(a, b, field)
         assert np.array_equal(q, q_ref) and np.array_equal(r, r_ref)
@@ -590,10 +590,12 @@ def series_inv_laurent(block, m, field):
 
 
 def division_shapes(s):
-    """(dq, db) pairs on both sides of div_path's switch for extension degree s.
+    """(dq, db) pairs on every path of div_path for extension degree s.
 
     dq = 31 | 32 against a long divisor, dq > db, dq = db, and at db = 0
-    and 1 the last dq below and the first dq at the work bound 2^16.
+    and 1 the last dq below and the first dq at the work bound 2^16: a
+    constant divisor (db = 0) takes the scalar path on both sides, and
+    db = 1 switches from long division to Newton there.
     """
     shapes = [(10, 3), (31, 2047), (32, 2047), (1000, 100), (300, 300)]
     for db in (0, 1):
@@ -623,7 +625,7 @@ def test_divmod_matches_row_loop(p, s):
                 assert is_normal(g, field) and g.shape == w.shape, (dq, db)
                 assert np.array_equal(g, w), (dq, db)
         assert np.array_equal(got[0], q) and np.array_equal(got[1], r)
-    assert paths == {"long", "newton"}
+    assert paths == {"scalar", "long", "newton"}
 
 
 @pytest.mark.parametrize("p", PRIMES + (P_LARGE,))
@@ -648,7 +650,9 @@ def test_div_path_and_mul_path_pins():
     assert k.div_path(32 + 2047, 2047, f1) == "newton"
     assert k.div_path(1500 + 25000, 25000, f1) == "newton"  # tower quotient
     assert k.div_path(1 + 25000, 25000, f3) == "long"  # Euclid's usual step
-    assert k.div_path(65534, 0, f1) == "long" and k.div_path(65535, 0, f1) == "newton"
+    assert k.div_path(65534, 0, f1) == "scalar" and k.div_path(65535, 0, f1) == "scalar"
+    assert k.div_path(0, 0, f3) == "scalar"  # constant by constant
+    assert k.div_path(32766 + 1, 1, f1) == "long" and k.div_path(32767 + 1, 1, f1) == "newton"
     assert k.div_path(100 + 200, 200, f1) == "long"  # 101 * 201 < 2^16
     assert k.div_path(100 + 200, 200, f2) == "newton"  # times s^2 = 4
     assert k.div_path(3, 5, f3) == "long"  # no quotient
@@ -658,6 +662,9 @@ def test_div_path_and_mul_path_pins():
     assert k.mul_path(100, 100, f3) == "fft"
     assert k.mul_path(300, 300, make_field(P_LARGE, 1)) == "exact"
     assert k.mul_path(1, 1, make_field(P_LARGE, 1)) == "direct"
+    assert k.mod_path(256, f1) == "matrix" and k.mod_path(257, f1) == "divide"  # 255 * 256 <= 2^16
+    assert k.mod_path(128, f2) == "matrix" and k.mod_path(129, f2) == "divide"  # times s^2 = 4
+    assert k.mod_path(2, f3) == "matrix" and k.mod_path(1, f3) == "divide"  # x mod f needs no matrix
 
 
 def test_fft_bound_admits_the_recorded_shapes():
