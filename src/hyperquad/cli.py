@@ -130,14 +130,12 @@ def _spec_from_args(args) -> TypeSpec:
 
 
 def _config_echo(args) -> dict:
-    cfg = {"subcommand": args.subcommand, "format": getattr(args, "format", "text")}
-    for name in ("field", "p", "s", "modulus", "t", "k", "l",
-                 "lambdas", "eps1", "eps2", "n", "depth", "budget", "out"):
-        if getattr(args, name, None) is not None:
-            cfg[name] = getattr(args, name)
-    if getattr(args, "max_log_degree", None) is not None:
-        cfg["max-log-degree"] = args.max_log_degree
-    return cfg
+    """Every flag the subcommand was given or defaulted, by its flag name."""
+    return {
+        name.replace("_", "-"): value
+        for name, value in vars(args).items()
+        if value is not None
+    }
 
 
 def _emit(args, payload: dict, lines: list[str]) -> None:

@@ -1,8 +1,10 @@
 """Exact rational arithmetic shared by the other modules.
 
-Everything here is characteristic-zero bookkeeping: p-adic valuations of
-integers and fractions, and the small families of rational constants that
-later get reduced into a prime field.  All values are exact (`fractions.Fraction`); nothing is floated.
+Everything here is characteristic-zero bookkeeping: trial division for
+primes, the small families of rational constants attached to a level k,
+and their reduction into a prime field.  All values are exact
+(`fractions.Fraction`); nothing is floated.  Callers check that p is an
+odd prime before they reduce into F_p.
 """
 
 from __future__ import annotations
@@ -10,29 +12,18 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-# Marker for the valuation of zero.  math.inf compares correctly against
-# every finite valuation, which is all callers need.
-PADIC_INFINITY = math.inf
-
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test for small moduli."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    """Deterministic primality test for small moduli, by trial division."""
+    return n >= 2 and prime_divisors(n) == [n]
 
 
 def prime_divisors(n: int) -> list[int]:
-    """The distinct prime divisors of a positive integer, ascending."""
+    """The distinct prime divisors of a positive integer, ascending.
+
+    Trial division by 2 and then by odd candidates only, up to the square
+    root of what is left.
+    """
     out = []
     d = 2
     while d * d <= n:
@@ -40,34 +31,10 @@ def prime_divisors(n: int) -> list[int]:
             out.append(d)
             while n % d == 0:
                 n //= d
-        d += 1
+        d += 1 if d == 2 else 2
     if n > 1:
         out.append(n)
     return out
-
-
-def _check_prime(p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
-
-
-def vp(x: int | Fraction, p: int):
-    """p-adic valuation of an integer or fraction; zero maps to PADIC_INFINITY."""
-    _check_prime(p)
-    if x == 0:
-        return PADIC_INFINITY
-    if isinstance(x, Fraction):
-        return _int_valuation(x.numerator, p) - _int_valuation(x.denominator, p)
-    return _int_valuation(int(x), p)
-
-
-def _int_valuation(n: int, p: int) -> int:
-    n = abs(n)
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 def v_sequence_rational(k: int) -> list[Fraction]:
@@ -120,8 +87,7 @@ def w_sequence_int(k: int) -> list[int]:
 
 
 def reduce_mod(x: int | Fraction, p: int) -> int:
-    """Image of an exact rational in Z/p; requires nonnegative p-adic valuation."""
-    _check_prime(p)
+    """Image of an exact rational in F_p; p must not divide its denominator."""
     if isinstance(x, Fraction):
         if x.denominator % p == 0:
             raise ValueError(f"{x} has a pole at {p} and cannot be reduced")

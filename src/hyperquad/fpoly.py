@@ -169,10 +169,6 @@ class Poly:
             return self
         return Poly.from_block(self.field, k.monic(self._block, self.field))
 
-    def gcd(self, other: "Poly") -> "Poly":
-        self._check(other)
-        return Poly.from_block(self.field, k.gcd_block(self._block, other._block, self.field))
-
     # -- comparisons --------------------------------------------------------
 
     def __eq__(self, other):

@@ -49,7 +49,7 @@ from ._gfkernel import frobenius_spread
 from .contfrac import ExpansionRecord
 from .ffield import FieldDesc, FieldElement
 from .fpoly import Poly, format_poly
-from .seedpair import admissible_set, build_seedpair
+from .seedpair import build_seedpair, is_admissible
 
 __all__ = [
     "TypeSpec",
@@ -83,7 +83,7 @@ class TypeSpec:
     def __post_init__(self):
         object.__setattr__(self, "lambdas", tuple(self.lambdas))
         p = self.field.p
-        if self.k not in admissible_set(p, self.t):
+        if not is_admissible(p, self.t, self.k):
             raise ValueError(
                 f"k={self.k} is not an admissible level for r={p}^{self.t}"
             )

@@ -2,7 +2,8 @@
 
 For an odd prime power r = p^t only certain levels k admit the
 construction: those k for which the companion constants stay p-integral.
-This module enumerates that admissible set, builds the seed polynomial
+They form t arithmetic progressions, and this module tests a level
+against them without listing the set.  It builds the seed polynomial
 pair (P, Q) together with its scalar data (v, theta, omega, w, b) over
 the prime field, and exposes the two one-parameter function families g
 and h used by the predicted-expansion machinery, with their internal
@@ -35,7 +36,6 @@ from .exactq import (
     reduce_mod,
     theta_omega_rational,
     v_sequence_rational,
-    vp,
     w_sequence_int,
 )
 from .ffield import FieldDesc, FieldElement, embed, make_field
@@ -48,6 +48,7 @@ __all__ = [
     "SeedPair",
     "admissible_set",
     "build_seedpair",
+    "is_admissible",
     "constants_in",
     "eval_g",
     "eval_h",
@@ -79,22 +80,34 @@ def _check_pt(p: int, t: int) -> None:
         raise ValueError(f"t must be a positive integer, got {t}")
 
 
+def _progressions(p: int, t: int) -> list[range]:
+    """The admissible levels for r = p^t as t ascending, disjoint ranges.
+
+    A level is admissible when it can be written m p^j + (p^j - 1)/2
+    with 1 <= m <= (p-1)/2 and 0 <= j <= t-1.  For fixed j these run from
+    (p^j - 1)/2 + p^j to (p^(j+1) - 1)/2 in steps of p^j, and the next
+    progression starts p^(j+1) above that end, so joining them in order
+    lists every level once, ascending.
+    """
+    _check_pt(p, t)
+    return [
+        range((p**j - 1) // 2 + p**j, (p ** (j + 1) - 1) // 2 + 1, p**j)
+        for j in range(t)
+    ]
+
+
 def admissible_set(p: int, t: int) -> list[int]:
     """All admissible levels below p^t, sorted ascending.
 
-    A level is admissible when it can be written m*p^j + (p^j - 1)/2
-    with 1 <= m <= (p-1)/2 and 0 <= j <= t-1.  The set is contained in
-    {1, ..., (p^t - 1)/2} and always contains the top value (p^t - 1)/2;
-    for t = 1 it is the whole range.
+    The set is contained in {1, ..., (p^t - 1)/2} and always contains the
+    top value (p^t - 1)/2; for t = 1 it is the whole range.
     """
-    _check_pt(p, t)
-    levels = set()
-    for j in range(t):
-        pj = p**j
-        half = (pj - 1) // 2
-        for m in range(1, (p - 1) // 2 + 1):
-            levels.add(m * pj + half)
-    return sorted(levels)
+    return [k for levels in _progressions(p, t) for k in levels]
+
+
+def is_admissible(p: int, t: int, k: int) -> bool:
+    """Whether k is an admissible level for r = p^t, by t range tests."""
+    return any(k in levels for levels in _progressions(p, t))
 
 
 @dataclass(frozen=True)
@@ -146,11 +159,10 @@ def build_seedpair(p: int, t: int, k: int) -> SeedPair:
     continued fraction expansion of Pk/Qk.  Results are cached: the
     pair is immutable and downstream code rebuilds it freely.
     """
-    _check_pt(p, t)
-    adm = admissible_set(p, t)
-    if k not in adm:
+    if not is_admissible(p, t, k):
         raise AdmissibilityError(
-            f"k={k} is not admissible for p={p}, t={t}; valid levels: {adm}"
+            f"k={k} is not admissible for p={p}, t={t}: the admissible levels "
+            "are m p^j + (p^j - 1)/2 with 1 <= m <= (p-1)/2 and 0 <= j < t"
         )
 
     vq = v_sequence_rational(k)
@@ -159,13 +171,18 @@ def build_seedpair(p: int, t: int, k: int) -> SeedPair:
     wints = w_sequence_int(k)
 
     # Integrality guaranteed by the admissibility of k; anything else
-    # would make the reduction below meaningless.
+    # would make the reduction below meaningless.  A fraction in lowest
+    # terms is a p-adic unit when p divides neither numerator nor
+    # denominator, and p-integral when p does not divide the denominator.
     for i, x in enumerate(vq, start=1):
-        _require(vp(x, p) == 0, f"v_{i} = {x} is not a p-adic unit")
+        _require(
+            x.numerator % p != 0 and x.denominator % p != 0,
+            f"v_{i} = {x} is not a p-adic unit",
+        )
     for i in range(2 * k + 1):
-        _require(vp(math.comb(2 * k, i), p) == 0, f"binom(2k,{i}) not a unit")
+        _require(math.comb(2 * k, i) % p != 0, f"binom(2k,{i}) not a unit")
     for i, x in enumerate(bq):
-        _require(vp(x, p) >= 0, f"b_{i} = {x} has a pole at {p}")
+        _require(x.denominator % p != 0, f"b_{i} = {x} has a pole at {p}")
 
     field = make_field(p, 1)
     emb = lambda x: field.from_int(reduce_mod(x, p))

@@ -1,8 +1,10 @@
 """Orbit explorer tests: symbolic factor coverage."""
 
+from types import SimpleNamespace
+
 import pytest
 
-from hyperquad import _gfkernel
+from hyperquad import _gfkernel, conjecture
 from hyperquad.conjecture import (
     DEFAULT_BUDGET,
     DEFAULT_DEGREE_CAP,
@@ -199,9 +201,13 @@ def _compose(hnum, hden, num, den):
     return clear(hnum), clear(hden)
 
 
+def _gcd(a, b):
+    return Poly.from_block(a.field, _gfkernel.gcd_block(a.block(), b.block(), a.field))
+
+
 def _reduced(num, den):
     """num/den in lowest terms with a monic denominator, as the former walk kept it."""
-    g = num.gcd(den)
+    g = _gcd(num, den)
     num, den = num // g, den // g
     inv = den.leading().inverse()
     return num.scaled(inv), den.scaled(inv)
@@ -316,16 +322,19 @@ def test_walk_nodes_are_coprime_pairs():
         for _ in range(depth):
             led = step_orbit(led)
             for a, b in led.frontier.values():
-                assert a.gcd(b) == one
+                assert _gcd(a, b) == one
 
 
 def test_walk_takes_no_gcd(monkeypatch):
     led = new_ledger(5)
 
-    def refuse(self, other):
+    def refuse(a, b, field):
         raise AssertionError("the orbit walk reduced a node")
 
-    monkeypatch.setattr(Poly, "gcd", refuse)
+    # factoring takes gcds of its own, so it is stubbed out: any gcd left
+    # would be the walk's
+    monkeypatch.setattr(conjecture, "factor", lambda part: SimpleNamespace(factors=[]))
+    monkeypatch.setattr(_gfkernel, "gcd_block", refuse)
     for _ in range(4):
         led = step_orbit(led)
     assert led.depth == 4

@@ -7,27 +7,44 @@ from hypothesis import given, strategies as st
 from hyperquad import exactq
 
 
-def test_vp_basics():
-    assert exactq.vp(9, 3) == 2
-    assert exactq.vp(Fraction(3, 8), 2) == -3
-    assert exactq.vp(Fraction(3, 8), 3) == 1
-    assert exactq.vp(0, 5) == exactq.PADIC_INFINITY
-    assert exactq.vp(-45, 3) == 2
+def _smallest_prime_factors(n):
+    """Sieve of Eratosthenes: entry m is the least prime dividing m, for 2 <= m < n."""
+    spf = list(range(n))
+    for d in range(2, math.isqrt(n - 1) + 1):
+        if spf[d] == d:
+            for m in range(d * d, n, d):
+                if spf[m] == m:
+                    spf[m] = d
+    return spf
 
 
-def test_vp_rejects_composite_modulus():
-    with pytest.raises(ValueError):
-        exactq.vp(10, 6)
+def test_primes_and_prime_divisors_match_a_sieve():
+    n_max = 10**5
+    spf = _smallest_prime_factors(n_max)
+    assert [n for n in range(-2, n_max) if exactq.is_prime(n)] == [
+        n for n in range(2, n_max) if spf[n] == n
+    ]
+    for n in range(1, n_max):
+        want, m = [], n
+        while m > 1:
+            want.append(spf[m])
+            while m % want[-1] == 0:
+                m //= want[-1]
+        assert exactq.prime_divisors(n) == want, n
 
 
-@given(
-    st.integers(min_value=-(10**6), max_value=10**6).filter(lambda n: n != 0),
-    st.integers(min_value=-(10**6), max_value=10**6).filter(lambda n: n != 0),
-    st.sampled_from([2, 3, 5, 7, 11, 13]),
+@pytest.mark.parametrize(
+    "n, divisors",
+    # 2^25 - 1 = 31 * 601 * 1801; the primes just below and above 2^25
+    [(2**25 - 1, [31, 601, 1801]), (33_554_393, [33_554_393]),
+     (33_554_467, [33_554_467])],
 )
-def test_vp_is_additive(a, b, p):
-    assert exactq.vp(a * b, p) == exactq.vp(a, p) + exactq.vp(b, p)
-    assert exactq.vp(Fraction(a, b), p) == exactq.vp(a, p) - exactq.vp(b, p)
+def test_primes_near_the_field_bound(n, divisors):
+    assert exactq.prime_divisors(n) == divisors
+    assert math.prod(divisors) == n
+    # plain trial division over every candidate, as an independent reference
+    assert all(n % d for d in range(2, math.isqrt(n) + 1)) == (divisors == [n])
+    assert exactq.is_prime(n) == (divisors == [n])
 
 
 def test_v_sequence_first_levels():

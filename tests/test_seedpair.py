@@ -7,8 +7,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hyperquad import contfrac, seedpair
-from hyperquad.exactq import reduce_mod, theta_omega_rational, v_sequence_rational
+from hyperquad import contfrac, hyper, seedpair
+from hyperquad.exactq import (
+    q_coefficients_rational,
+    reduce_mod,
+    theta_omega_rational,
+    v_sequence_rational,
+)
 from hyperquad.ffield import embed, f27_preset, make_field
 from hyperquad.fpoly import Poly
 from hyperquad.seedpair import (
@@ -20,6 +25,7 @@ from hyperquad.seedpair import (
     eval_h,
     g_fraction,
     h_fraction,
+    is_admissible,
     validate_identities,
 )
 
@@ -50,6 +56,66 @@ def test_admissible_shape(p, t):
     assert (r - 1) // 2 in levels
     if t == 1:
         assert levels == list(range(1, (p - 1) // 2 + 1))
+
+
+def _former_admissible_set(p, t):
+    """The enumeration admissible_set used to run: every m p^j + (p^j - 1)/2 in a set."""
+    levels = set()
+    for j in range(t):
+        pj = p**j
+        for m in range(1, (p - 1) // 2 + 1):
+            levels.add(m * pj + (pj - 1) // 2)
+    return sorted(levels)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_progressions_match_the_former_enumeration(p, t):
+    want = _former_admissible_set(p, t)
+    assert admissible_set(p, t) == want
+    ks = range(-1, (p**t - 1) // 2 + 3)
+    assert [k for k in ks if is_admissible(p, t, k)] == want
+
+
+def test_large_prime_never_lists_its_levels(monkeypatch):
+    # p = 33 554 393 < 2^25 has (p - 1)/2 = 16 777 196 levels at t = 1
+    p = 33_554_393
+
+    def refuse(p, t):
+        raise AssertionError("admissible levels were listed")
+
+    for module in (seedpair, hyper):
+        monkeypatch.setattr(module, "admissible_set", refuse, raising=False)
+    F = make_field(p, 1)
+    one = F.one
+    for k in (1, (p - 1) // 2):
+        hyper.TypeSpec(field=F, t=1, k=k, lambdas=(one,), eps1=one, eps2=one)
+    with pytest.raises(ValueError, match="not an admissible level"):
+        hyper.TypeSpec(field=F, t=1, k=(p + 1) // 2, lambdas=(one,), eps1=one, eps2=one)
+    assert build_seedpair.__wrapped__(p, 1, 1).v == (one, -one)
+    with pytest.raises(AdmissibilityError, match=r"1 <= m <= \(p-1\)/2"):
+        build_seedpair.__wrapped__(p, 1, (p + 1) // 2)
+
+
+def test_build_rejects_a_v_that_is_not_a_unit(monkeypatch):
+    # a mutation of the seed constants that the integrality checks must catch
+    def mutated(k):
+        v = v_sequence_rational(k)
+        return [v[0] * 5, *v[1:]]
+
+    monkeypatch.setattr(seedpair, "v_sequence_rational", mutated)
+    with pytest.raises(seedpair.InternalConsistencyError, match="not a p-adic unit"):
+        build_seedpair.__wrapped__(5, 1, 2)
+
+
+def test_build_rejects_a_b_with_a_pole(monkeypatch):
+    def mutated(k):
+        b = q_coefficients_rational(k)
+        return [b[0] / 5, *b[1:]]
+
+    monkeypatch.setattr(seedpair, "q_coefficients_rational", mutated)
+    with pytest.raises(seedpair.InternalConsistencyError, match="has a pole"):
+        build_seedpair.__wrapped__(5, 1, 2)
 
 
 def test_admissible_rejects_bad_input():
