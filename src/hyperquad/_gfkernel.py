@@ -86,7 +86,6 @@ rem_block.
 from __future__ import annotations
 
 import math
-import zlib
 
 import numpy as np
 
@@ -481,15 +480,6 @@ def monic(a: np.ndarray, field) -> np.ndarray:
     return scalar_mul(a, row_inverse(field, a[-1]), field)
 
 
-def pth_root(a: np.ndarray, field) -> np.ndarray:
-    """For f with zero derivative over F_p: f = g(X^p); return g.
-
-    Coefficients are Frobenius-fixed in a prime field, so g just reads off
-    every p-th coefficient.
-    """
-    return a[:: field.p].copy()
-
-
 def squarefree_decomposition(f: np.ndarray, field) -> list[tuple[np.ndarray, int]]:
     """Square-free parts with multiplicities of a monic f; prime fields only.
 
@@ -499,13 +489,8 @@ def squarefree_decomposition(f: np.ndarray, field) -> list[tuple[np.ndarray, int
     if f.shape[0] <= 1:
         return []
     out: dict[int, np.ndarray] = {}
-    df = derivative(f, field)
-    if df.shape[0] == 0:
-        inner = pth_root(f, field)
-        for g, m in squarefree_decomposition(inner, field):
-            out[m * p] = g
-        return sorted(((g, m) for m, g in out.items()), key=lambda t: t[1])
-    c = gcd_block(f, df, field)
+    # when f' = 0, c = gcd(f, 0) = f, w = 1 and f goes whole to the p-th root
+    c = gcd_block(f, derivative(f, field), field)
     if c.shape[0] == 1:
         return [(f, 1)]  # gcd(f, f') = 1: f is square-free
     w = divmod_block(f, c, field)[0]
@@ -519,13 +504,11 @@ def squarefree_decomposition(f: np.ndarray, field) -> list[tuple[np.ndarray, int
         c = divmod_block(c, y, field)[0]
         i += 1
     if c.shape[0] > 1:
-        inner = pth_root(c, field)
-        for g, m in squarefree_decomposition(inner, field):
+        # c' = 0, so c = g(X^p) = g^p: F_p coefficients are Frobenius-fixed,
+        # and g reads off every p-th row
+        for g, m in squarefree_decomposition(c[::p].copy(), field):
             mp = m * p
-            if mp in out:
-                out[mp] = mul(out[mp], g, field)
-            else:
-                out[mp] = g
+            out[mp] = mul(out[mp], g, field) if mp in out else g
     return sorted(((g, m) for m, g in out.items()), key=lambda t: t[1])
 
 
@@ -586,8 +569,8 @@ def factor(f: np.ndarray, field) -> tuple[np.ndarray, list[tuple[np.ndarray, int
     f = monic(f, field)
     if f.shape[0] == 1:
         return unit, []
-    seed = field.p * 1000003 + zlib.crc32(f.tobytes())
-    rng = np.random.default_rng(seed)
+    # found is sorted below, so the draws never show in the result
+    rng = np.random.default_rng(field.p)
     found: list[tuple[np.ndarray, int]] = []
     for part, mult in squarefree_decomposition(f, field):
         for prod, d in distinct_degree(part, field):

@@ -20,7 +20,7 @@ from . import perfect as perfect_mod
 from .ffield import FieldDesc, f27_preset, format_element, make_field, parse_element
 from .fpoly import format_poly
 from .hyper import ConvergenceError, TypeSpec, build_equation, expand_alpha
-from .seedpair import AdmissibilityError, admissible_set, build_seedpair, validate_identities
+from .seedpair import AdmissibilityError, build_seedpair, progressions, validate_identities
 
 EXIT_OK = 0
 EXIT_MISMATCH = 2
@@ -166,7 +166,7 @@ def cmd_seedpair(args) -> int:
         "p": pair.p,
         "t": pair.t,
         "k": pair.k,
-        "admissible": admissible_set(args.p, args.t),
+        "admissible": [[r.start, r[-1], r.step] for r in progressions(pair.p, pair.t)],
         "v": [format_element(c) for c in pair.v],
         "theta": format_element(pair.theta),
         "omega": format_element(pair.omega),
@@ -176,9 +176,10 @@ def cmd_seedpair(args) -> int:
         "Qk": format_poly(pair.Qk),
         "identities": report,
     }
+    spans = ", ".join(f"{a}..{b} step {c}" for a, b, c in payload["admissible"])
     lines = [
         f"seed data for p={pair.p}, t={pair.t} (r={pair.p ** pair.t}), k={pair.k}",
-        f"admissible k: {payload['admissible']}",
+        f"admissible k: {spans}",
         f"v     = [{', '.join(payload['v'])}]",
         f"theta = {payload['theta']}",
         f"omega = {payload['omega']}",
@@ -270,10 +271,7 @@ def _verify_payload_and_lines(spec: TypeSpec, report) -> tuple[dict, list[str]]:
         seqs = report.sequences
         payload["sequences"] = seqs.to_json_dict(prefix=20)
         payload["C0"] = payload["sequences"]["C0"]
-        depth = max(seqs.index.i(n) for n in range(1, report.n_requested + 1))
-        # the prediction just read this tower off the memo
-        tower = perfect_mod._tower(seqs.pair, depth)
-        payload["A"] = [format_poly(a) for a in tower]
+        payload["A"] = [format_poly(a) for a in seqs.tower(report.n_requested)]
         lines.append(f"C0: {payload['C0']}")
         lines.append(f"tower: [{', '.join(payload['A'])}]")
         for name in ("deltas", "gammas", "lambdas"):
@@ -333,8 +331,6 @@ def cmd_corollary_c(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
-    if args.p < 3:
-        raise UsageError("--p must be an odd prime")
     # a count past Python's int-to-str digit limit raises ValueError before any output
     try:
         report = conjecture_mod.run_conjecture(

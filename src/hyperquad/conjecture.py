@@ -39,7 +39,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .exactq import is_prime
 from .ffield import FieldDesc, FieldElement
 from .fpoly import Poly, factor, irreducibles
 from .seedpair import InternalConsistencyError, build_seedpair
@@ -101,11 +100,9 @@ def new_ledger(
     degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> OrbitLedger:
     """Fresh ledger holding generation zero, u_1 = x."""
-    if not is_prime(p) or p == 2:
-        raise ValueError("the orbit lives over an odd prime field")
     if budget < 1 or degree_cap < 1:
         raise ValueError("budget and degree cap must be positive")
-    pair = build_seedpair(p, 1, 1)
+    pair = build_seedpair(p, 1, 1)  # rejects p unless an odd prime below 2^25
     field = pair.field
     x = Poly.monomial(field, 1)
     ledger = OrbitLedger(

@@ -131,33 +131,24 @@ class FieldDesc:
         self.s = s
         self.modulus = modulus
         self.order = p**s
-        # u^j written in the basis, for j up to 2s-2 (enough to reduce any
-        # product of two basis vectors)
-        self._upow_reduction = self._build_reduction()
-        # the same rows as an int64 (2s-1, s) matrix, and the (s, s, s) table
-        # whose [i, j] row is u^(i+j) in the basis; the dense kernel reduces
-        # products and builds multiplication matrices from them
-        self._upow_matrix = np.array(self._upow_reduction, dtype=np.int64)
+        # the int64 (2s-1, s) matrix of u^j in the basis for j <= 2s-2, enough
+        # to reduce any product of two basis vectors: the identity, then the
+        # kernel's x^s ... x^(2s-2) mod the modulus (s <= 16: the matrix path)
+        self._upow_matrix = np.eye(s, dtype=np.int64)
+        if s > 1:
+            mod = np.array(modulus, dtype=np.int64).reshape(-1, 1)
+            red = _gfkernel.reduction(mod, make_field(p, 1))
+            self._upow_matrix = np.concatenate([self._upow_matrix, red])
+        # its rows as lists for _coord_mul, and the (s, s, s) table whose [i, j]
+        # row is u^(i+j); the dense kernel reduces products and builds
+        # multiplication matrices from them
+        self._upow_rows = self._upow_matrix.tolist()
         idx = np.add.outer(np.arange(s), np.arange(s))
         self._mul_table = self._upow_matrix[idx]
         # t -> matrix of c -> c^(p^t), filled on first use
         self._frob_matrices: dict[int, np.ndarray] = {}
         self.zero = FieldElement(self, (0,) * s)
         self.one = FieldElement(self, (1,) + (0,) * (s - 1))
-
-    def _build_reduction(self):
-        p, s = self.p, self.s
-        rows = []
-        cur = [0] * s
-        cur[0] = 1
-        for _ in range(2 * s - 1):
-            rows.append(tuple(cur))
-            carry = cur[-1]
-            cur = [0] + cur[:-1]
-            if carry:
-                for j in range(s):
-                    cur[j] = (cur[j] - carry * self.modulus[j]) % p
-        return rows
 
     def _coord_mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         """Coordinate tuple of a*b, by the schoolbook product in the basis."""
@@ -170,7 +161,7 @@ class FieldDesc:
         out = [0] * s
         for j, c in enumerate(raw):
             if c:
-                row = self._upow_reduction[j]
+                row = self._upow_rows[j]
                 for t in range(s):
                     out[t] = (out[t] + c * row[t]) % p
         return tuple(out)

@@ -186,6 +186,14 @@ class PerfectSequences:
             "lambdas": head(self.lambdas),
         }
 
+    def tower(self, n: int) -> list[Poly]:
+        """A_1..A_d, d the deepest level i(m) of any m <= n: i(1) = 1 and f
+        is increasing, so level j is first reached at m = f^(j-1)(1)."""
+        depth, m = 1, self.index.f(1)
+        while m <= n:
+            depth, m = depth + 1, self.index.f(m)
+        return _tower(self.pair, depth)
+
 
 def condition_II(spec: TypeSpec):
     """The head deltas, or the breakdown making them undefinable.
@@ -374,10 +382,9 @@ def predict_expansion(spec: TypeSpec, n_max: int):
 def predicted_record_from(seqs: PerfectSequences, n_max: int) -> ExpansionRecord:
     if n_max > seqs.n_max:
         raise ValueError("sequences were not generated far enough")
-    levels = [seqs.index.i(n) for n in range(1, n_max + 1)]
-    tower = _tower(seqs.pair, max(levels))
+    tower = seqs.tower(n_max)
     quotients = [
-        tower[i - 1].scaled_into(seqs.lambdas[n]) for n, i in enumerate(levels, 1)
+        tower[seqs.index.i(n) - 1].scaled_into(seqs.lambdas[n]) for n in range(1, n_max + 1)
     ]
     return contfrac.predicted_record(seqs.spec.field, quotients)
 

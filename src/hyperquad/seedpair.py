@@ -31,7 +31,6 @@ from functools import lru_cache
 
 from . import contfrac
 from .exactq import (
-    is_prime,
     q_coefficients_rational,
     reduce_mod,
     theta_omega_rational,
@@ -49,6 +48,7 @@ __all__ = [
     "admissible_set",
     "build_seedpair",
     "is_admissible",
+    "progressions",
     "constants_in",
     "eval_g",
     "eval_h",
@@ -74,13 +74,12 @@ class UndefinedValueError(ArithmeticError):
 
 
 def _check_pt(p: int, t: int) -> None:
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"p must be an odd prime, got {p}")
+    make_field(p, 1)  # an odd prime below 2^25, bounded before trial division
     if t < 1:
         raise ValueError(f"t must be a positive integer, got {t}")
 
 
-def _progressions(p: int, t: int) -> list[range]:
+def progressions(p: int, t: int) -> list[range]:
     """The admissible levels for r = p^t as t ascending, disjoint ranges.
 
     A level is admissible when it can be written m p^j + (p^j - 1)/2
@@ -102,12 +101,12 @@ def admissible_set(p: int, t: int) -> list[int]:
     The set is contained in {1, ..., (p^t - 1)/2} and always contains the
     top value (p^t - 1)/2; for t = 1 it is the whole range.
     """
-    return [k for levels in _progressions(p, t) for k in levels]
+    return [k for levels in progressions(p, t) for k in levels]
 
 
 def is_admissible(p: int, t: int, k: int) -> bool:
     """Whether k is an admissible level for r = p^t, by t range tests."""
-    return any(k in levels for levels in _progressions(p, t))
+    return any(k in levels for levels in progressions(p, t))
 
 
 @dataclass(frozen=True)

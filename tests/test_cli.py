@@ -12,6 +12,7 @@ import pytest
 
 from hyperquad import cli, perfect
 from hyperquad.ffield import f27_preset, format_element
+from hyperquad.seedpair import admissible_set
 
 from checks import degenerate_next_lambda
 
@@ -51,7 +52,26 @@ def test_seedpair_json(capsys):
     # balanced residues: 3 = -2, 1/3 = 2, -3/4 = -2, -4/3 = 2 mod 5
     assert blob["v"] == ["-2", "2", "-2", "2"]
     assert all(blob["identities"].values())
-    assert blob["admissible"] == [1, 2]
+    assert blob["admissible"] == [[1, 2, 1]]
+
+
+def test_seedpair_prints_the_progressions(capsys):
+    code, blob, _ = run_json(
+        capsys, ["seedpair", "--p", "7", "--t", "2", "--k", "3", "--format", "json"]
+    )
+    assert code == 0
+    assert blob["admissible"] == [[1, 3, 1], [10, 24, 7]]
+    levels = [k for a, b, c in blob["admissible"] for k in range(a, b + 1, c)]
+    assert levels == admissible_set(7, 2)
+    code, out, _ = run(capsys, ["seedpair", "--p", "7", "--t", "2", "--k", "3"])
+    assert code == 0
+    assert "admissible k: 1..3 step 1, 10..24 step 7\n" in out
+    # the largest prime below 2^25 has 16 777 196 levels at t = 1, in one triple
+    code, blob, _ = run_json(
+        capsys, ["seedpair", "--p", "33554393", "--t", "1", "--k", "1", "--format", "json"]
+    )
+    assert code == 0
+    assert blob["admissible"] == [[1, 16777196, 1]]
 
 
 def test_seedpair_rejects_inadmissible_k(capsys):

@@ -330,6 +330,37 @@ def test_power_tables_list_each_unit_once(spec):
         assert exp[1] == field.u.coeffs
 
 
+def former_reduction(field):
+    """The former row loop: u^j in the basis for j <= 2s-2, each row the
+    one before shifted up, its top coordinate carried through the modulus."""
+    p, s = field.p, field.s
+    rows = []
+    cur = [1] + [0] * (s - 1)
+    for _ in range(2 * s - 1):
+        rows.append(cur)
+        carry = cur[-1]
+        cur = [0] + cur[:-1]
+        if carry:
+            cur = [(c - carry * m) % p for c, m in zip(cur, field.modulus)]
+    return rows
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 65521, 33554393])
+def test_power_matrix_matches_former_row_loop(p):
+    # default moduli for s = 2 ... 16, and the F_27 preset's X^3 + X^2 - X + 1
+    fields = [make_field(p, s) for s in range(2, 17)]
+    if p == 3:
+        fields.append(f27_preset())
+    for field in fields:
+        s = field.s
+        rows = former_reduction(field)
+        assert field._upow_matrix.dtype == np.int64
+        assert field._upow_matrix.tolist() == rows, field
+        assert field._upow_rows == rows, field
+        table = [[rows[i + j] for j in range(s)] for i in range(s)]
+        assert field._mul_table.tolist() == table, field
+
+
 @pytest.mark.parametrize("p, s", [(5, 1), (3, 2), (257, 2)])
 def test_zero_powers(p, s):
     field = make_field(p, s)

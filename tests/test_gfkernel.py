@@ -40,10 +40,11 @@ def schoolbook(a, b, field):
                     for li, yl in enumerate(y):
                         row[ki + li] += xk * yl
     out = []
+    upow = field._upow_matrix.tolist()
     for row in raw:
         coords = [0] * s
         for j, c in enumerate(row):
-            for t, r in enumerate(field._upow_reduction[j]):
+            for t, r in enumerate(upow[j]):
                 coords[t] += c * r
         out.append([c % p for c in coords])
     return k.trim(np.array(out, dtype=np.int64).reshape(-1, s))
@@ -57,14 +58,13 @@ def column_loop(a, b, field):
     for i in range(s):
         for j in range(s):
             raw[:, i + j] = (raw[:, i + j] + np.convolve(a[:, i], b[:, j])) % p
-    red = np.array(field._upow_reduction, dtype=np.int64)
-    return k.trim(raw @ red % p)
+    return k.trim(raw @ field._upow_matrix % p)
 
 
 def mult_matrix_loop(field, c_row):
     """The former triple loop building the matrix of x -> c * x."""
     s, p = field.s, field.p
-    red = field._upow_reduction
+    red = field._upow_matrix.tolist()
     m = np.zeros((s, s), dtype=np.int64)
     for j in range(s):
         col = [0] * s

@@ -154,7 +154,7 @@ def former_squarefree_decomposition(f, field):
     out = {}
     df = k.derivative(f, field)
     if df.shape[0] == 0:
-        inner = k.pth_root(f, field)
+        inner = f[::p].copy()  # the p-th root of f = g(X^p)
         for g, m in former_squarefree_decomposition(inner, field):
             out[m * p] = g
         return sorted(((g, m) for m, g in out.items()), key=lambda t: t[1])
@@ -170,7 +170,7 @@ def former_squarefree_decomposition(f, field):
         c = k.divmod_block(c, y, field)[0]
         i += 1
     if c.shape[0] > 1:
-        inner = k.pth_root(c, field)
+        inner = c[::p].copy()
         for g, m in former_squarefree_decomposition(inner, field):
             mp = m * p
             out[mp] = k.mul(out[mp], g, field) if mp in out else g

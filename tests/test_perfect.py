@@ -223,6 +223,20 @@ def test_tower_memo_hands_out_fresh_lists(build_spy):
     assert len(builds) == 2
 
 
+@pytest.mark.parametrize("k, l", [(1, 1), (1, 3), (2, 1), (2, 4), (3, 2), (6, 5)])
+def test_sequences_tower_depth_is_the_deepest_level(monkeypatch, k, l):
+    # the depth PerfectSequences.tower asks of the memo, against the maximum
+    # of i(m) over every index m <= n
+    monkeypatch.setattr(perfect, "_tower", lambda pair, depth: depth)
+    idx = IndexMachinery(k, l)
+    seqs = PerfectSequences(
+        spec=None, pair=None, case=CASE_CLOSED, n_max=0,
+        deltas={}, gammas={}, lambdas={}, C0=None, index=IndexMachinery(k, l),
+    )
+    for n in range(1, 400):
+        assert seqs.tower(n) == max(idx.i(m) for m in range(1, n + 1)), n
+
+
 # -- F_p tower times an F_q scalar -----------------------------------------
 #
 # The references are the former path: each tower polynomial embedded into

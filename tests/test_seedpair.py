@@ -7,14 +7,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hyperquad import contfrac, hyper, seedpair
+from hyperquad import cli, conjecture, contfrac, exactq, hyper, seedpair
 from hyperquad.exactq import (
     q_coefficients_rational,
     reduce_mod,
     theta_omega_rational,
     v_sequence_rational,
 )
-from hyperquad.ffield import embed, f27_preset, make_field
+from hyperquad.ffield import FieldConstructionError, embed, f27_preset, make_field
 from hyperquad.fpoly import Poly
 from hyperquad.seedpair import (
     AdmissibilityError,
@@ -95,6 +95,53 @@ def test_large_prime_never_lists_its_levels(monkeypatch):
     assert build_seedpair.__wrapped__(p, 1, 1).v == (one, -one)
     with pytest.raises(AdmissibilityError, match=r"1 <= m <= \(p-1\)/2"):
         build_seedpair.__wrapped__(p, 1, (p + 1) // 2)
+
+
+# a prime far above 2^25: trial division on it takes most of a second
+HUGE_P = 100_000_000_000_031
+
+
+@pytest.fixture
+def bounded_trial_division(monkeypatch):
+    """exactq.prime_divisors, which is_prime calls, failing on n >= 2^25."""
+    real = exactq.prime_divisors
+
+    def bounded(n):
+        if n >= 1 << 25:
+            raise AssertionError(f"trial division on {n}")
+        return real(n)
+
+    monkeypatch.setattr(exactq, "prime_divisors", bounded)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda: is_admissible(HUGE_P, 1, 1),
+        lambda: admissible_set(HUGE_P, 1),
+        lambda: build_seedpair(HUGE_P, 1, 1),
+        lambda: conjecture.run_conjecture(HUGE_P, 1, 0),
+    ],
+    ids=["is_admissible", "admissible_set", "build_seedpair", "run_conjecture"],
+)
+def test_huge_characteristic_is_rejected_before_trial_division(bounded_trial_division, entry):
+    with pytest.raises(FieldConstructionError, match="not below 2\\^25"):
+        entry()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["seedpair", "--p", str(HUGE_P), "--t", "1", "--k", "1"],
+        ["conjecture", "--p", str(HUGE_P), "--depth", "1", "--max-log-degree", "0"],
+    ],
+    ids=["seedpair", "conjecture"],
+)
+def test_cli_rejects_a_huge_characteristic_before_trial_division(
+    bounded_trial_division, capsys, argv
+):
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert "not below 2^25" in capsys.readouterr().err
 
 
 def test_build_rejects_a_v_that_is_not_a_unit(monkeypatch):
