@@ -70,8 +70,15 @@ def make_field(p: int, s: int, modulus=None) -> "FieldDesc":
     The modulus is a low-to-high coefficient sequence of a monic irreducible
     of degree s over F_p.  When omitted, the lexicographically least monic
     irreducible (coordinates compared low-degree-first) is selected, which
-    for s = 1 is the polynomial X itself.
+    for s = 1 is the polynomial X itself.  A repeat call returns the field
+    built for the same arguments with no check: they passed the first time.
     """
+    if modulus is not None:
+        modulus = tuple(modulus)
+    key = (p, s, modulus)
+    field = _field_cache.get(key)
+    if field is not None:
+        return field
     if p == 2:
         raise UnsupportedCharacteristicError("characteristic 2 is not supported")
     if p >= _P_BOUND:  # checked first: is_prime is trial division
@@ -91,14 +98,12 @@ def make_field(p: int, s: int, modulus=None) -> "FieldDesc":
         )
     if mod[-1] != 1:
         raise FieldConstructionError("modulus must be monic")
-    key = (p, s, mod)
-    cached = _field_cache.get(key)
-    if cached is not None:
-        return cached
-    if s > 1 and not _modulus_is_irreducible(mod, p):
-        raise FieldConstructionError(f"modulus {list(mod)} is reducible over F_{p}")
-    field = FieldDesc(p, s, mod)
-    _field_cache[key] = field
+    field = _field_cache.get((p, s, mod))
+    if field is None:
+        if s > 1 and not _modulus_is_irreducible(mod, p):
+            raise FieldConstructionError(f"modulus {list(mod)} is reducible over F_{p}")
+        field = FieldDesc(p, s, mod)
+    _field_cache[key] = _field_cache[p, s, mod] = field
     return field
 
 

@@ -35,6 +35,20 @@ as the errors shrink, tau_j grows strictly.  So H(w_j) = x_L/y_L, L = l + tau_j,
 and P/R = [a_(m+1), ..., a_L] has polynomial part a_(m+1) while m < L,
 and is oo (R = 0) at m = L.  So emitting only while R != 0 keeps m <= L,
 and at R = 0 the quotient to absorb is known, as m = L >= l + j > j.
+Each emit may be certified instead of divided.  Division in F_q[T] is
+unique: if deg(P - cR) < deg R then c = P div R, for P = cR + (P - cR) is
+then a division with remainder, and there is only one.  So a candidate c
+(the predicted quotient, when verifying a perfect target) is accepted as
+a_(m+1) with one product and one subtraction, and P - cR is the new R,
+exactly the remainder divmod would return.  A long c times a short R is a
+thin product, which _gfkernel.mul takes directly, where dividing would
+find a long quotient by FFT products and Newton iteration.  A candidate
+whose degree is not deg P - deg R cannot pass (deg(P - cR) >= deg P >=
+deg R), so its product is skipped.  A failed certificate says only that
+c is not the quotient, not what the quotient is, so the emit falls back
+to divmod.  The state still comes only from the equation: a wrong
+candidate is never emitted, and the record equals the one made by
+dividing at every step.
 expand_alpha raises ConvergenceError before an emitted or absorbed degree
 would pass _DEGREE_CAP, and on a stall (R = 0 with all m quotients
 absorbed), which this argument excludes for a valid spec's equation.
@@ -42,6 +56,7 @@ absorbed), which this argument excludes for a valid spec's equation.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import contfrac
@@ -168,9 +183,14 @@ def build_equation(spec: TypeSpec) -> AlgebraicEquation:
     )
 
 
-def expand_alpha(spec: TypeSpec, n_max: int) -> ExpansionRecord:
+def expand_alpha(
+    spec: TypeSpec, n_max: int, candidates: Sequence[Poly] = ()
+) -> ExpansionRecord:
     """First n_max partial quotients of alpha, by the transducer and argument
-    of the module docstring; every one is exact, so the record is complete."""
+    of the module docstring; every one is exact, so the record is complete.
+
+    candidates[m], where given, is tried as a_(m+1) by its certificate
+    before dividing (module docstring); the record does not depend on them."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     field, r = spec.field, spec.r
@@ -180,12 +200,14 @@ def expand_alpha(spec: TypeSpec, n_max: int) -> ExpansionRecord:
     j = 0  # quotients absorbed
     while len(quotients) < n_max:
         if not R.is_zero():
-            d = P.degree() - R.degree()
+            m, d = len(quotients), P.degree() - R.degree()
             if d > _DEGREE_CAP:
-                raise ConvergenceError(
-                    f"a_{len(quotients) + 1} of degree {d} is past _DEGREE_CAP"
-                )
-            a, rem = divmod(P, R)
+                raise ConvergenceError(f"a_{m + 1} of degree {d} is past _DEGREE_CAP")
+            c = candidates[m] if m < len(candidates) else None
+            if c is not None and c.degree() == d and (rem := P - c * R).degree() < R.degree():
+                a = c
+            else:
+                a, rem = divmod(P, R)
             quotients.append(a)
             P, Q, R, S = R, S, rem, Q - a * S
         elif j < len(quotients):

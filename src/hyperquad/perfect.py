@@ -8,7 +8,8 @@ decides perfectness, generates the scalar sequences delta, gamma and
 lambda with their case split (closed case: the gamma obstruction
 vanishes; open case: gamma must avoid poles and zeros forever), builds
 the predicted expansion, and verifies it against the direct engine
-quotient by quotient.
+quotient by quotient, with the prediction offered to that engine as
+candidates it certifies or replaces.
 
 The tower depends only on the seed pair (p, t, k), and build_tower makes
 level j + 1 from level j alone, so a tower of depth d is a prefix of every
@@ -418,7 +419,11 @@ def _scalar_quotient_shape(q: Poly, A: Poly) -> bool:
 def differential_verify(spec: TypeSpec, n_max: int) -> MatchReport:
     """Compare the predicted expansion against the direct engine.
 
-    Perfect targets must match quotient for quotient.  For targets that
+    Perfect targets must match quotient for quotient.  The direct engine
+    takes the predicted quotients as candidates, so each one that is right
+    costs a product in place of a division (hyper module docstring); the
+    direct record is still the one the equation alone gives, and it is
+    compared with the prediction as before.  For targets that
     are not perfect the direct expansion is scanned for the first index
     whose quotient is not a scalar multiple of its tower polynomial;
     the report is inconclusive if no such index shows up within n_max
@@ -466,7 +471,7 @@ def differential_verify(spec: TypeSpec, n_max: int) -> MatchReport:
 
     predicted = predicted_record_from(seqs, n_max)
     try:
-        direct = expand_alpha(spec, n_max)
+        direct = expand_alpha(spec, n_max, predicted.quotients)
     except ConvergenceError:
         direct = None
     if direct is None:

@@ -70,6 +70,35 @@ def test_field_cache_identity():
     assert f27_preset() is f27_preset()
 
 
+def test_repeat_make_field_makes_no_check(monkeypatch):
+    # a built field is served from the cache before any trial division
+    from hyperquad import ffield
+
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    real = ffield.is_prime
+    monkeypatch.setattr(ffield, "_field_cache", {})
+    monkeypatch.setattr(ffield, "is_prime", counting)
+    field = make_field(33554393, 1)
+    assert calls == [33554393]
+    assert make_field(33554393, 1) is field
+    assert make_field(33554393, 1, (0, 1)) is field
+    assert calls == [33554393]
+    # the same field under a modulus written unreduced, or by default
+    F25 = make_field(5, 2)
+    assert make_field(5, 2, [6, -4, 1]) is F25 and make_field(5, 2, F25.modulus) is F25
+    # a rejected call is not remembered
+    for _ in range(2):
+        with pytest.raises(FieldConstructionError, match="9 is not prime"):
+            make_field(9, 1)
+        with pytest.raises(FieldConstructionError, match="not below 2\\^25"):
+            make_field(1 << 25, 1)
+
+
 def test_f27_preset_matches_hand_reductions():
     f = f27_preset()
     u = f.u

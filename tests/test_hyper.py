@@ -316,6 +316,35 @@ def test_transducer_matches_series_on_reference_requests(workload, count):
         assert rec is not None and _quotient_digest(rec.quotients) == e["digest"]
 
 
+def _reference_spec(e):
+    p, t, k, s, _l = e["cell"]
+    F = make_field(p, s, e["modulus"])
+    return TypeSpec(
+        field=F, t=t, k=k, lambdas=tuple(F.el(c) for c in e["lambdas"]),
+        eps1=F.el(e["eps1"]), eps2=F.el(e["eps2"]),
+    )
+
+
+@pytest.mark.parametrize("workload,count", [("grid-sweep", 522), ("deep-tower", 13)])
+def test_certified_expansion_equals_divided_on_reference_requests(workload, count):
+    # the predicted quotients of every verify request (all are perfect) as
+    # candidates, then with one of them plus 1: deg(P - cR) = deg R, so that
+    # candidate fails its certificate by exactly one degree and is divided
+    entries = _verify_entries(workload)
+    assert len(entries) == count
+    rng = random.Random(count)
+    for e in entries:
+        spec, n = _reference_spec(e), e["n"]
+        seqs = perfect.generate_sequences(spec, n)
+        assert not isinstance(seqs, perfect.NotPerfect)
+        plain = expand_alpha(spec, n).quotients
+        candidates = perfect.predicted_record_from(seqs, n).quotients
+        assert expand_alpha(spec, n, candidates).quotients == plain
+        i = rng.randrange(n)
+        candidates[i] = candidates[i] + Poly.one(spec.field)
+        assert expand_alpha(spec, n, candidates).quotients == plain, (spec.describe(), i)
+
+
 # (p, s, t): the sweep's fields and Frobenius powers; over F_27, t = 1 and
 # t = 2 both move coefficients under Frobenius
 SWEEP = [(3, 1, 1), (3, 2, 1), (3, 3, 1), (5, 1, 1), (5, 2, 1), (7, 1, 1),

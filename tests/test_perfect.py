@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyperquad import perfect
+from hyperquad import _gfkernel, perfect
 from hyperquad.contfrac import ExpansionRecord
 from hyperquad.ffield import FieldElement, f27_preset, make_field
 from hyperquad.fpoly import Poly
@@ -397,12 +397,12 @@ def test_differential_mismatch_and_inconclusive_on_worked_target(monkeypatch):
     planted = list(good.quotients)
     planted[6] = planted[6].scaled(spec.field.u)
     bad = ExpansionRecord(spec.field, planted, "direct", "complete")
-    monkeypatch.setattr(perfect, "expand_alpha", lambda _spec, _n: bad)
+    monkeypatch.setattr(perfect, "expand_alpha", lambda _spec, _n, _candidates=(): bad)
     report = differential_verify(spec, 40)
     assert (report.status, report.first_mismatch, report.n_checked) == ("mismatch", 7, 40)
     assert report.direct is bad and report.predicted.quotients == good.quotients
 
-    def stalled(_spec, _n):
+    def stalled(_spec, _n, _candidates=()):
         raise ConvergenceError("stalled")
 
     monkeypatch.setattr(perfect, "expand_alpha", stalled)
@@ -410,6 +410,91 @@ def test_differential_mismatch_and_inconclusive_on_worked_target(monkeypatch):
     assert (report.status, report.first_mismatch, report.n_checked) == ("inconclusive", None, 0)
     assert report.direct is None and report.predicted.quotients == good.quotients
     assert report.perfect is True and report.case == CASE_OPEN
+
+
+# perfect targets with head [T] whose quotients reach degree 398 581, 39 063,
+# 7 813 and 78 433: dividing, their expansion makes FFT products and Newton
+# divisions; certifying, each c * R pairs a long c with a short R
+CAP_CELLS = [
+    # (p, s, t, k, eps1, eps2, n, largest quotient degree)
+    (3, 1, 2, 1, (2,), (2,), 500, 398581),
+    (5, 1, 1, 1, (2,), (3,), 1800, 39063),
+    (5, 2, 1, 1, (0, 2), (2, 4), 1000, 7813),
+    (7, 1, 1, 1, (1,), (4,), 800, 78433),
+]
+
+
+def cap_spec(p, s, t, k, eps1, eps2):
+    F = make_field(p, s)
+    return TypeSpec(field=F, t=t, k=k, lambdas=(F.one,), eps1=F.el(eps1), eps2=F.el(eps2))
+
+
+@pytest.mark.parametrize("p,s,t,k,eps1,eps2,n,top", CAP_CELLS)
+def test_certified_verify_equals_plain_expansion_near_the_degree_cap(
+    p, s, t, k, eps1, eps2, n, top
+):
+    spec = cap_spec(p, s, t, k, eps1, eps2)
+    report = differential_verify(spec, n)
+    assert report.status == "match" and report.n_checked == n
+    assert report.direct.quotients == expand_alpha(spec, n).quotients
+    assert max(q.degree() for q in report.direct.quotients) == top
+
+
+@pytest.mark.parametrize(
+    "alter",
+    [
+        lambda q: q + Poly.one(q.field),  # deg(P - cR) = deg R
+        lambda q: q.scaled(q.field.u),  # deg(P - cR) = deg P
+        lambda q: q.shifted(1),  # wrong degree: no product is formed
+    ],
+    ids=["plus-one", "scaled", "shifted"],
+)
+@pytest.mark.parametrize("index", [1, 7, 40])
+def test_altered_prediction_keeps_the_direct_record(monkeypatch, alter, index):
+    spec = corollary_spec()
+    plain = expand_alpha(spec, 40)
+    real = perfect.predicted_record_from
+
+    def altered(seqs, n_max):
+        quotients = list(real(seqs, n_max).quotients)
+        quotients[index - 1] = alter(quotients[index - 1])
+        return ExpansionRecord(spec.field, quotients, "predicted", "complete")
+
+    monkeypatch.setattr(perfect, "predicted_record_from", altered)
+    report = differential_verify(spec, 40)
+    assert (report.status, report.first_mismatch) == ("mismatch", index)
+    assert report.direct.quotients == plain.quotients
+
+
+@pytest.mark.parametrize(
+    "spec_of,n",
+    [(corollary_spec, 200), (lambda: cap_spec(*CAP_CELLS[0][:6]), 500)],
+    ids=["corollary-c", "cap-cell"],
+)
+def test_matching_verify_divides_nowhere_in_the_transducer(monkeypatch, spec_of, n):
+    spec = spec_of()
+    assert differential_verify(spec, n).status == "match"  # the tower memo is warm
+    inside, divisions = [False], []
+    real_divmod, real_expand = _gfkernel.divmod_block, perfect.expand_alpha
+
+    def counting_divmod(*args):
+        divisions.append(inside[0])
+        return real_divmod(*args)
+
+    def spied_expand(*args):
+        inside[0] = True
+        try:
+            return real_expand(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(_gfkernel, "divmod_block", counting_divmod)
+    monkeypatch.setattr(perfect, "expand_alpha", spied_expand)
+    assert differential_verify(spec, n).status == "match"
+    assert True not in divisions
+    # without candidates, every emit divides
+    spied_expand(spec, n)
+    assert divisions.count(True) >= n
 
 
 def test_consistency_suite_all_green():
